@@ -25,7 +25,6 @@ from .harness import (
     TrialResult,
     aede,
     run_experiment,
-    sweep_report,
     toa_sweep,
 )
 from .locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
@@ -72,7 +71,6 @@ __all__ = [
     "sampling_toa",
     "solve_position",
     "spectral_peak",
-    "sweep_report",
     "tdoa_ranges",
     "toa_sweep",
     "transmit_psd",

@@ -3,7 +3,7 @@
 Subcommands:
   simulate-toa     TOA-versus-resolution data for one node position
   simulate-tdoa    full localization Monte Carlo (trials.csv, summary.json)
-  sweep            localization accuracy per sweep point (adds sweep.csv)
+  sweep            simulate-tdoa plus sweep.csv (estimation runtime per sweep point)
   validate-config  check a config and report derived quantities
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numeric error.
@@ -24,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     prepare,
     run_experiment,
-    sweep_report,
     toa_sweep,
     write_rows_csv,
     write_summary_json,
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("simulate-toa", "single-position TOA estimates versus resolution"),
         ("simulate-tdoa", "full localization Monte Carlo"),
-        ("sweep", "accuracy sweep over delay-bank sizes and sampling rates"),
+        ("sweep", "simulate-tdoa plus sweep.csv: estimation runtime per sweep point"),
         ("validate-config", "validate a config without running"),
     ):
         _add_common_arguments(sub.add_parser(name, help=text))
@@ -97,28 +96,23 @@ def main(argv=None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
+        dump_dir = out / "traces" if args.dump_traces else None
 
         if args.command == "simulate-toa":
-            rows = toa_sweep(cfg)
+            rows = toa_sweep(cfg, dump_dir=dump_dir)
             write_rows_csv(rows, out / "toa_vs_alpha.csv")
             print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
-        elif args.command == "simulate-tdoa":
-            dump_dir = out / "traces" if args.dump_traces else None
-            trials, summary, _ = run_experiment(cfg, dump_dir=dump_dir)
+        else:
+            trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
             write_trials_csv(trials, out / "trials.csv")
             write_summary_json(summary, out / "summary.json")
-            _write_meta(out, time.perf_counter() - started)
-            for row in summary["results"]:
-                print(_format_row(row))
-        elif args.command == "sweep":
-            dump_dir = out / "traces" if args.dump_traces else None
-            rows, trials = sweep_report(cfg, dump_dir=dump_dir)
-            write_trials_csv(trials, out / "trials.csv")
-            write_summary_json(
-                {"config": cfg.to_dict(), "results": [_strip_runtime(r) for r in rows]},
-                out / "summary.json",
-            )
-            write_rows_csv(rows, out / "sweep.csv")
+            rows = summary["results"]
+            if args.command == "sweep":
+                rows = [
+                    {**row, "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]]}
+                    for row in rows
+                ]
+                write_rows_csv(rows, out / "sweep.csv")
             _write_meta(out, time.perf_counter() - started)
             for row in rows:
                 print(_format_row(row))
@@ -129,10 +123,6 @@ def main(argv=None) -> int:
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
-
-
-def _strip_runtime(row: dict) -> dict:
-    return {k: v for k, v in row.items() if k != "runtime_s"}
 
 
 def _write_meta(out: Path, wall_time: float) -> None:

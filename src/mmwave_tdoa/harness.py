@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .channel import (
     C0,
     AbsorptionTable,
     ChannelSpec,
+    _require_band_covered,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -89,8 +91,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"r1_mode must be one of {R1_MODES}")
         if self.estimator not in ESTIMATORS:
             raise ConfigurationError(f"estimator must be one of {ESTIMATORS}")
-        if not self.mq_pairs and not self.sampling_rates:
-            raise ConfigurationError("no estimator configured: both sweep axes empty")
         for pair in self.mq_pairs:
             if len(pair) != 2:
                 raise ConfigurationError("mq_pairs entries must be (branches, stages)")
@@ -149,12 +149,6 @@ class TrialResult:
     tau3: float
     error: float
 
-    @property
-    def tag(self) -> str:
-        if self.estimator == "ctma":
-            return f"ctma@alpha={self.alpha}"
-        return f"sampling@fs={self.f_s:g}"
-
 
 def default_absorption_path() -> str:
     from importlib.resources import files
@@ -180,10 +174,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     """Validate everything that can fail, before any trial runs."""
     path = cfg.absorption_path or default_absorption_path()
     table = ingest_absorption(path, cfg.species_fractions)
-    if not table.covers(cfg.band):
-        raise ConfigurationError(
-            f"absorption table {path} does not cover the band {cfg.band}"
-        )
+    _require_band_covered(table, cfg.band)
     spec = PulseSpec(
         order=cfg.pulse_order,
         center_frequency=cfg.pulse_center_frequency,
@@ -221,6 +212,15 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
             )
     if not banks and not rates:
         raise ConfigurationError(f"estimator {cfg.estimator!r} has no configured sweep points")
+    alphas = [bank.alpha for bank in banks]
+    for name, points in (("mq_pairs alpha", alphas), ("sampling_rates", rates)):
+        if len(set(points)) < len(points):
+            raise ConfigurationError(
+                f"{name} values {list(points)} repeat; two sweep points would share a row"
+            )
+    x, y = cfg.toa_position
+    if not (0.0 <= x <= cfg.layout_size and 0.0 <= y <= cfg.layout_size):
+        raise ConfigurationError("toa_position must lie inside the deployment area")
 
     positions = _draw_positions(cfg)
     ctma_offset, lpf_offset = _estimator_offsets(tx, t_p)
@@ -274,20 +274,13 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
     return np.random.SeedSequence([root, position, run, receiver])
 
 
-def run_experiment(cfg: ExperimentConfig, dump_dir=None):
-    """Run the full Monte Carlo and return (trials, summary, timings).
-
-    timings maps each estimator tag to the wall time spent estimating and
-    localizing for it (shared propagation time is excluded).
-    """
-    prep = prepare(cfg)
-    cfg_echo = cfg.to_dict()
-    trials: list[TrialResult] = []
-    timings: dict[str, float] = {}
-
+def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
+    """Yield (position index, run index, three received traces) for every run
+    at every position; each trace is propagated once, with its own seed."""
+    cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
-    for p_idx, (x, y) in enumerate(prep.positions):
+    for p_idx, (x, y) in enumerate(positions):
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
         chspecs = [
             ChannelSpec(
@@ -318,32 +311,50 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
             ]
             if dump_dir is not None and p_idx == 0 and r_idx == 0:
                 _dump_traces(traces, dump_dir)
-
-            for bank in prep.banks:
-                start = time.perf_counter()
-                taus = [iterative_toa(traces[b], bank).tau for b in range(3)]
-                trial = _localize(
-                    prep, taus, prep.ctma_offset, "ctma", bank.alpha, None, p_idx, r_idx, x, y
-                )
-                key = trial.tag
-                timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
-                trials.append(trial)
-            for f_s in prep.sampling_rates:
-                start = time.perf_counter()
-                taus = [sampling_toa(traces[b], prep.t_p, f_s) for b in range(3)]
-                trial = _localize(
-                    prep, taus, prep.lpf_offset, "sampling", None, f_s, p_idx, r_idx, x, y
-                )
-                key = trial.tag
-                timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
-                trials.append(trial)
-
-    summary = {"config": cfg_echo, "results": summarize(trials)}
-    return trials, summary, timings
+            yield p_idx, r_idx, traces
 
 
-def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx, x, y) -> TrialResult:
+def run_experiment(cfg: ExperimentConfig, dump_dir=None):
+    """Run the full Monte Carlo and return (trials, summary, timings).
+
+    timings maps each sweep point's (estimator, alpha, f_s) key to the wall
+    time spent estimating and localizing for it; propagation and the LPF
+    filtering shared by all sampling rates are excluded.
+    """
+    prep = prepare(cfg)
+    trials: list[TrialResult] = []
+    timings: dict[tuple, float] = defaultdict(float)
+    for p_idx, r_idx, traces in _received_traces(prep, prep.positions, dump_dir):
+        trials += _estimate(prep, traces, p_idx, r_idx, timings)
+    summary = {"config": cfg.to_dict(), "results": summarize(trials)}
+    return trials, summary, dict(timings)
+
+
+def _estimate(prep, traces, p_idx, r_idx, timings) -> list[TrialResult]:
+    """One trial-run's localizations, for every bank and then every sampling
+    rate; each trace is low-pass filtered once and sampled at every rate.
+    Kept apart from the run loop so the filtered traces are freed on return,
+    not held while the next run propagates (peak memory)."""
+    trials = []
+    for bank in prep.banks:
+        start = time.perf_counter()
+        taus = [iterative_toa(trace, bank).tau for trace in traces]
+        trials.append(
+            _localize(prep, taus, prep.ctma_offset, "ctma", bank.alpha, None, p_idx, r_idx)
+        )
+        timings["ctma", bank.alpha, None] += time.perf_counter() - start
+    filtered = [lpf_approximation(t, prep.t_p) for t in traces] if prep.sampling_rates else ()
+    for f_s in prep.sampling_rates:
+        start = time.perf_counter()
+        taus = [sampling_toa(trace, f_s) for trace in filtered]
+        trials.append(_localize(prep, taus, prep.lpf_offset, "sampling", None, f_s, p_idx, r_idx))
+        timings["sampling", None, f_s] += time.perf_counter() - start
+    return trials
+
+
+def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialResult:
     cfg = prep.config
+    x, y = prep.positions[p_idx]
     if cfg.toa_mode == "start-corrected":
         taus = [pulse_start_from_toa(t, prep.t_p) for t in taus]
         offset = offset - prep.t_p
@@ -389,9 +400,11 @@ def aede(trials) -> float:
     trials = list(trials)
     if not trials:
         raise ConfigurationError("cannot average an empty trial collection")
-    tags = {t.tag for t in trials}
-    if len(tags) > 1:
-        raise ConfigurationError(f"mixed estimator groups in one average: {sorted(tags)}")
+    groups = {(t.estimator, t.alpha, t.f_s) for t in trials}
+    if len(groups) > 1:
+        raise ConfigurationError(
+            f"mixed estimator groups in one average: {sorted(groups, key=str)}"
+        )
     cells: dict[int, dict[int, float]] = {}
     for t in trials:
         runs = cells.setdefault(t.position_index, {})
@@ -430,53 +443,20 @@ def summarize(trials) -> list[dict]:
     return rows
 
 
-def sweep_report(cfg: ExperimentConfig, dump_dir=None):
-    """Run the sweep and return (rows, trials); rows add estimation runtime
-    per sweep point to the summary columns."""
-    trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
-    rows = []
-    for row in summary["results"]:
-        tag = (
-            f"ctma@alpha={row['alpha']}"
-            if row["estimator"] == "ctma"
-            else f"sampling@fs={row['f_s_hz']:g}"
-        )
-        rows.append({**row, "runtime_s": timings.get(tag, 0.0)})
-    return rows, trials
-
-
-def toa_sweep(cfg: ExperimentConfig):
+def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     """Per-run TOA estimates versus alpha for a single node position."""
     prep = prepare(cfg)
+    if not prep.banks:
+        raise ConfigurationError(
+            f"simulate-toa needs a delay bank, but estimator {cfg.estimator!r} with "
+            f"mq_pairs {[list(p) for p in cfg.mq_pairs]} configures none"
+        )
     x, y = cfg.toa_position
-    if not (0.0 <= x <= cfg.layout_size and 0.0 <= y <= cfg.layout_size):
-        raise ConfigurationError("toa_position must lie inside the deployment area")
     anchors = prep.layout.positions()
     dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
-    chspecs = [
-        ChannelSpec(float(d), cfg.pulse_center_frequency, cfg.band, cfg.temperature)
-        for d in dists
-    ]
-    if cfg.noise:
-        psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
-        powers = [noise_variance(s, prep.table, psd) for s in chspecs]
-    else:
-        powers = [0.0, 0.0, 0.0]
 
     rows = []
-    for r_idx in range(cfg.n_runs):
-        traces = [
-            propagate(
-                prep.tx,
-                chspecs[b],
-                prep.table,
-                seed=_trace_seed(cfg.seed, 0, r_idx, b),
-                emit_time=0.0,
-                window=cfg.t_ob,
-                noise_power=powers[b],
-            )
-            for b in range(3)
-        ]
+    for _, r_idx, traces in _received_traces(prep, (cfg.toa_position,), dump_dir):
         for bank in prep.banks:
             for b in range(3):
                 estimate = iterative_toa(traces[b], bank)

@@ -20,13 +20,13 @@ from mmwave_tdoa import (
     iterative_toa,
     noise_variance,
     propagate,
+    run_experiment,
     solve_position,
     tdoa_ranges,
     transmit_psd,
 )
 from mmwave_tdoa.channel import noise_background_psd, noise_self_psd
 from mmwave_tdoa.cli import main
-from mmwave_tdoa.harness import sweep_report
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
 
@@ -59,8 +59,8 @@ def reference_sweep():
         estimator="both",
         noise=True,
     )
-    rows, _ = sweep_report(cfg)
-    return rows
+    _, summary, _ = run_experiment(cfg)
+    return summary["results"]
 
 
 def test_01_quantization_contract(tp2):

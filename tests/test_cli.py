@@ -35,6 +35,35 @@ def test_validate_config_rejects_bad_file(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"mq_pairs": [[2, 11], [4, 5]]}, "mq_pairs"),  # both alpha = 4096
+        ({"sampling_rates": [600e9, 300e9, 600e9]}, "sampling_rates"),
+        ({"toa_position": [5.0, 5.0]}, "toa_position"),
+    ],
+)
+def test_validate_config_rejects_colliding_or_outside_points(tmp_path, capsys, override, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CFG, **override}))
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_simulate_toa_without_bank_fails_before_propagating(
+    cfg_path, tmp_path, monkeypatch, capsys
+):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate called before the bank check")
+
+    monkeypatch.setattr("mmwave_tdoa.harness.propagate", no_propagation)
+    out = tmp_path / "toa"
+    argv = ["simulate-toa", "--config", str(cfg_path), "--out", str(out), "--estimator", "sampling"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "estimator" in err and "mq_pairs" in err
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -57,6 +86,14 @@ def test_simulate_tdoa_deterministic_bytes(cfg_path, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out_b)]) == 0
+    assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
+    assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+def test_sweep_matches_simulate_tdoa_bytes(cfg_path, tmp_path):
+    out_a, out_b = tmp_path / "tdoa", tmp_path / "sweep"
+    assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out_a)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
@@ -101,12 +138,10 @@ def test_simulate_toa_writes_table(cfg_path, tmp_path):
     assert len(lines) == 1 + 2 * 3  # header + runs x receivers for one bank
 
 
-def test_dump_traces_flag(cfg_path, tmp_path):
+@pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])
+def test_dump_traces_flag(cfg_path, tmp_path, command):
     out = tmp_path / "run"
-    assert (
-        main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out), "--dump-traces"])
-        == 0
-    )
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--dump-traces"]) == 0
     assert len(list((out / "traces").iterdir())) == 3
 
 

@@ -209,7 +209,7 @@ def test_sampling_at_grid_rate_matches_dense_argmax(tp2):
     v = place_pulse(2, 200e9, 2.7182e-9, STEP, 100000)
     out = lpf_approximation(v, tp2)
     dense = out.times()[np.argmax(out.samples)]
-    assert sampling_toa(v, tp2, 1.0 / STEP) == pytest.approx(dense, abs=1e-18)
+    assert sampling_toa(out, 1.0 / STEP) == pytest.approx(dense, abs=1e-18)
 
 
 def test_sampling_quantization_bound(tp2):
@@ -217,7 +217,7 @@ def test_sampling_quantization_bound(tp2):
     v = place_pulse(2, 200e9, 3.3333e-9, STEP, 100000)
     out = lpf_approximation(v, tp2)
     dense = out.times()[np.argmax(out.samples)]
-    assert abs(sampling_toa(v, tp2, f_s) - dense) <= 1.0 / f_s
+    assert abs(sampling_toa(out, f_s) - dense) <= 1.0 / f_s
 
 
 def test_sampling_worst_error_non_increasing_in_rate(tp2):
@@ -231,7 +231,7 @@ def test_sampling_worst_error_non_increasing_in_rate(tp2):
             v = place_pulse(2, 200e9, t0, STEP, n)
             out = lpf_approximation(v, tp2)
             dense = out.times()[np.argmax(out.samples)]
-            errs.append(abs(sampling_toa(v, tp2, f_s) - dense))
+            errs.append(abs(sampling_toa(out, f_s) - dense))
         worst.append(max(errs))
     assert worst[0] >= worst[1] >= worst[2]
 
@@ -239,7 +239,7 @@ def test_sampling_worst_error_non_increasing_in_rate(tp2):
 def test_sampling_rejects_super_grid_rate(tp2):
     v = SignalTrace(0.0, STEP, np.ones(1000))
     with pytest.raises(ConfigurationError, match="grid rate"):
-        sampling_toa(v, tp2, 2.0 / STEP)
+        sampling_toa(lpf_approximation(v, tp2), 2.0 / STEP)
 
 
 def test_matched_resolution_agreement(tp2):
@@ -252,7 +252,7 @@ def test_matched_resolution_agreement(tp2):
         t0 = rng.uniform(1e-9, 9e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         tau_bank = iterative_toa(v, cfg).tau
-        tau_sample = sampling_toa(v, tp2, 1.0 / delta)
+        tau_sample = sampling_toa(lpf_approximation(v, tp2), 1.0 / delta)
         assert abs(tau_bank - tau_sample) <= delta * (1.0 + 1e-9)
 
 
