@@ -88,7 +88,11 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
 
     Raises ConfigurationError naming the offending row on malformed input.
     """
-    with open(path, newline="") as handle:
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read absorption table {path}: {exc}") from exc
+    with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -244,6 +248,47 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     return shaped * np.sqrt(power / kept)
 
 
+class PathCache:
+    """The parts of `propagate` that no noise seed changes, for one pulse,
+    absorption table and window.
+
+    On construction: the pulse spectrum and the absorption exponent
+    -0.5 k(f) on the propagation FFT grid, shared by every path. On first
+    use of a path: its clean (noise-free) received waveform, shared by every
+    noise run over that path until `forget_paths`. The caller owns the
+    cache; cached arrays are read-only because every trace may share them.
+    """
+
+    def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
+        self.pulse, self.table, self.window = pulse, table, window
+        self.n_out = int(round(window / pulse.step)) + 1
+        self.nfft = 1
+        while self.nfft < self.n_out + pulse.samples.size + 4096:
+            self.nfft *= 2
+        self.freqs = np.fft.rfftfreq(self.nfft, pulse.step)
+        self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
+        self.absorption = -0.5 * table.coefficient(self.freqs)
+        self._clean: dict[tuple, np.ndarray] = {}
+
+    def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
+        """Noise-free received samples on [0, window] for a path whose pulse
+        support starts arriving at arrival_start."""
+        key = (spec, arrival_start)
+        if key not in self._clean:
+            amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
+            response = amplitude * np.exp(self.absorption * spec.distance)
+            shift = np.exp(-2j * np.pi * self.freqs * arrival_start)
+            product = self.spectrum * response * shift
+            received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
+            received.flags.writeable = False
+            self._clean[key] = received
+        return self._clean[key]
+
+    def forget_paths(self) -> None:
+        """Drop the cached clean waveforms (the shared spectra stay)."""
+        self._clean.clear()
+
+
 def propagate(
     pulse: SignalTrace,
     spec: ChannelSpec,
@@ -252,6 +297,7 @@ def propagate(
     emit_time: float = 0.0,
     window: float = 10e-9,
     noise_power: float | None = None,
+    cache: PathCache | None = None,
 ) -> SignalTrace:
     """Received waveform on [0, window]: channel-filtered pulse plus noise.
 
@@ -261,6 +307,10 @@ def propagate(
     delays exactly in the band-limited sense. `noise_power` overrides the
     noise variance (0 disables noise); by default it is computed from the
     pulse itself via noise_variance. Deterministic given the seed.
+
+    `cache`, built for this pulse, table and window, reuses the spectra and
+    the clean waveform of a path seen before; the result is bit-identical
+    to a call without it.
     """
     _require_band_covered(table, spec.band)
     step = pulse.step
@@ -277,16 +327,11 @@ def propagate(
             f"{arrival_end:.3e} s to contain the received pulse"
         )
 
-    n_out = int(round(window / step)) + 1
-    nfft = 1
-    while nfft < n_out + pulse.samples.size + 4096:
-        nfft *= 2
-    freqs = np.fft.rfftfreq(nfft, step)
-    spectrum = np.fft.rfft(pulse.samples, nfft)
-    amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
-    response = amplitude * np.exp(-0.5 * table.coefficient(freqs) * spec.distance)
-    shift = np.exp(-2j * np.pi * freqs * arrival_start)
-    received = np.fft.irfft(spectrum * response * shift, nfft)[:n_out]
+    if cache is None:
+        cache = PathCache(pulse, table, window)
+    elif not (cache.pulse is pulse and cache.table is table and cache.window == window):
+        raise ConfigurationError("path cache was built for another pulse, table or window")
+    received = cache.clean(spec, arrival_start)
 
     if noise_power is None:
         t_p = effective_duration(pulse, 0.9999)
@@ -296,6 +341,6 @@ def propagate(
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        received = received + _band_limited_noise(rng, n_out, step, spec.band, noise_power)
+        received = received + _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
 
     return SignalTrace(start_time=0.0, step=step, samples=received, units="V")

@@ -3,7 +3,8 @@
 Subcommands:
   simulate-toa     TOA-versus-resolution data for one node position
   simulate-tdoa    full localization Monte Carlo (trials.csv, summary.json)
-  sweep            simulate-tdoa plus sweep.csv (estimation runtime per sweep point)
+  sweep            simulate-tdoa plus sweep.csv (estimation runtime per sweep point
+                   and of the per-trace stage its estimator family shares)
   validate-config  check a config and report derived quantities
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numeric error.
@@ -109,7 +110,11 @@ def main(argv=None) -> int:
             rows = summary["results"]
             if args.command == "sweep":
                 rows = [
-                    {**row, "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]]}
+                    {
+                        **row,
+                        "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
+                        "shared_s": timings[row["estimator"]],
+                    }
                     for row in rows
                 ]
                 write_rows_csv(rows, out / "sweep.csv")

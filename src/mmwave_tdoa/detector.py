@@ -15,6 +15,7 @@ with t* the dense-grid argmax and delta the final resolution.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ class DetectorBankConfig:
             raise ConfigurationError("stage count must be non-negative")
         if not (self.t_ob > self.t_p > 0.0):
             raise ConfigurationError("need t_ob > t_p > 0")
-        if self.branches ** (self.stages + 1) > 2**62:
+        # branches >= 2, so 62 or more stages overflow; checked first so a
+        # huge stage count is not raised to a power.
+        if self.stages >= 62 or self.branches ** (self.stages + 1) > 2**62:
             raise ConfigurationError("branches ** (stages + 1) overflows")
 
     @property
@@ -104,21 +107,32 @@ def ctma_output(
     return float(x[i0 + k]), float(v.start_time + (i0 + k) * v.step)
 
 
+@functools.lru_cache(maxsize=4)
+def _lpf_kernel_spectrum(t_p: float, step: float, n: int) -> tuple[int, np.ndarray]:
+    """FFT length and kernel spectrum for low-pass filtering n samples: the
+    rfft of h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p, cut at the
+    exp(-20) tail. Memoized on its values, and read-only, because every trace
+    of an experiment shares it."""
+    beta = 1.4615 / t_p
+    n_kernel = int(np.ceil(20.0 / (beta * step)))
+    t = np.arange(n_kernel) * step
+    kernel = beta * beta * t * np.exp(-beta * t)
+    nfft = 1
+    while nfft < n + n_kernel:
+        nfft *= 2
+    spectrum = np.fft.rfft(kernel, nfft)
+    spectrum.flags.writeable = False
+    return nfft, spectrum
+
+
 def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
     """Second-order low-pass approximation of the energy detector: v^2
     convolved with h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p."""
     if not (t_p > 0.0):
         raise ConfigurationError("pulse duration must be positive")
-    beta = 1.4615 / t_p
-    n_kernel = int(np.ceil(20.0 / (beta * v.step)))  # exp(-20) tail cutoff
-    t = np.arange(n_kernel) * v.step
-    kernel = beta * beta * t * np.exp(-beta * t)
-
     squared = v.samples * v.samples
-    nfft = 1
-    while nfft < squared.size + n_kernel:
-        nfft *= 2
-    out = np.fft.irfft(np.fft.rfft(squared, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    nfft, kernel_spectrum = _lpf_kernel_spectrum(t_p, v.step, squared.size)
+    out = np.fft.irfft(np.fft.rfft(squared, nfft) * kernel_spectrum, nfft)
     filtered = out[: squared.size] * v.step
     return SignalTrace(
         start_time=v.start_time, step=v.step, samples=filtered, units="V^2"
@@ -130,6 +144,7 @@ def iterative_toa(
     cfg: DetectorBankConfig,
     noise_power: float | None = None,
     detection_gamma: float = 3.0,
+    energy: np.ndarray | None = None,
 ) -> ToaEstimate:
     """Run the Q+1-pass delay-bank refinement over [0, t_ob].
 
@@ -141,6 +156,9 @@ def iterative_toa(
 
     When noise_power is given, the estimate is flagged undetected if the
     global held maximum stays below gamma * noise_power * t_p.
+
+    `energy`, if given, must be `_windowed_energy(v, cfg.t_p)`: every bank
+    with the same t_p then ranks slots on one shared array.
     """
     delta = cfg.resolution
     if delta < 4.0 * v.step:
@@ -151,7 +169,12 @@ def iterative_toa(
     if v.start_time > 0.0 or v.end_time < cfg.t_ob - 0.5 * v.step:
         raise ConfigurationError("trace must cover the observation window [0, t_ob]")
 
-    x = _windowed_energy(v, cfg.t_p)
+    if energy is None:
+        x = _windowed_energy(v, cfg.t_p)
+    elif energy.shape == v.samples.shape:
+        x = energy
+    else:
+        raise ConfigurationError("windowed energy does not match the trace grid")
     m_count = cfg.branches
     selected: list[int] = []
     taus: list[float] = []

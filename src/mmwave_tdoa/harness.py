@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .channel import (
     C0,
     AbsorptionTable,
     ChannelSpec,
+    PathCache,
     _require_band_covered,
     ingest_absorption,
     noise_variance,
@@ -31,6 +33,7 @@ from .channel import (
 )
 from .detector import (
     DetectorBankConfig,
+    _windowed_energy,
     ctma_output,
     iterative_toa,
     lpf_approximation,
@@ -45,6 +48,50 @@ from .trace import SignalTrace, dump_csv
 TOA_MODES = ("peak", "start-corrected")
 R1_MODES = ("known-clock", "quadratic")
 ESTIMATORS = ("ctma", "sampling", "both")
+
+
+_REAL_FIELDS = (
+    "layout_size",
+    "pulse_center_frequency",
+    "pulse_power",
+    "energy_fraction",
+    "t_ob",
+    "step",
+    "temperature",
+    "guard_radius",
+)
+_INTEGER_FIELDS = ("pulse_order", "n_positions", "n_runs", "seed")
+
+
+def _real(name: str, value) -> float:
+    """value as a float, if it is a finite number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _items(name: str, value) -> tuple:
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ConfigurationError(f"{name} must be a list, got {value!r}")
+
+
+def _reals(name: str, value, length: int | None = None) -> tuple[float, ...]:
+    out = tuple(_real(name, v) for v in _items(name, value))
+    if length is not None and len(out) != length:
+        raise ConfigurationError(f"{name} must hold {length} numbers, got {len(out)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,6 +122,29 @@ class ExperimentConfig:
     toa_position: tuple[float, float] = (0.5, 0.75)
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            _real(name, getattr(self, name))
+        for name in _INTEGER_FIELDS:
+            _integer(name, getattr(self, name))
+        if not isinstance(self.noise, bool):
+            raise ConfigurationError(f"noise must be true or false, got {self.noise!r}")
+        if self.absorption_path is not None and not isinstance(self.absorption_path, str):
+            raise ConfigurationError("absorption_path must be a file path string or null")
+        if self.species_fractions is not None:
+            if not isinstance(self.species_fractions, dict):
+                raise ConfigurationError("species_fractions must map species names to numbers")
+            for species, fraction in self.species_fractions.items():
+                _real(f"species_fractions[{species!r}]", fraction)
+        band = _reals("band", self.band, length=2)
+        pairs = tuple(
+            tuple(_integer("mq_pairs entry", v) for v in _items("mq_pairs entry", pair))
+            for pair in _items("mq_pairs", self.mq_pairs)
+        )
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigurationError("mq_pairs entries must be (branches, stages)")
+        rates = _reals("sampling_rates", self.sampling_rates)
+        toa_position = _reals("toa_position", self.toa_position, length=2)
+
         if not (self.layout_size > 0.0):
             raise ConfigurationError("layout size must be positive")
         diag = self.layout_size * math.sqrt(2.0)
@@ -85,23 +155,29 @@ class ExperimentConfig:
             )
         if self.n_positions < 1 or self.n_runs < 1:
             raise ConfigurationError("need at least one position and one run")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
+        for name in ("step", "temperature"):
+            if not (getattr(self, name) > 0.0):
+                raise ConfigurationError(f"{name} must be positive")
+        if not (0.0 < band[0] < band[1]):
+            raise ConfigurationError("band limits must be ordered and positive")
+        if not all(f_s > 0.0 for f_s in rates):
+            raise ConfigurationError("sampling_rates must be positive")
+        # Positions are drawn by rejection outside the guard rings; below
+        # half the layout size at least 40% of the square stays open.
+        if not (0.0 <= self.guard_radius < 0.5 * self.layout_size):
+            raise ConfigurationError("guard_radius must lie in [0, layout_size / 2)")
         if self.toa_mode not in TOA_MODES:
             raise ConfigurationError(f"toa_mode must be one of {TOA_MODES}")
         if self.r1_mode not in R1_MODES:
             raise ConfigurationError(f"r1_mode must be one of {R1_MODES}")
         if self.estimator not in ESTIMATORS:
             raise ConfigurationError(f"estimator must be one of {ESTIMATORS}")
-        for pair in self.mq_pairs:
-            if len(pair) != 2:
-                raise ConfigurationError("mq_pairs entries must be (branches, stages)")
-        object.__setattr__(self, "band", tuple(float(f) for f in self.band))
-        object.__setattr__(
-            self, "mq_pairs", tuple((int(m), int(q)) for m, q in self.mq_pairs)
-        )
-        object.__setattr__(
-            self, "sampling_rates", tuple(float(f) for f in self.sampling_rates)
-        )
-        object.__setattr__(self, "toa_position", tuple(float(v) for v in self.toa_position))
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "mq_pairs", pairs)
+        object.__setattr__(self, "sampling_rates", rates)
+        object.__setattr__(self, "toa_position", toa_position)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -113,6 +189,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError("a config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -276,11 +354,18 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
 
 def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
     """Yield (position index, run index, three received traces) for every run
-    at every position; each trace is propagated once, with its own seed."""
+    at every position; each trace is propagated once, with its own seed.
+
+    The pulse spectrum is computed once here, each path's clean waveform once
+    per position (in its first run's `propagate` call), and each run's traces
+    are released before the next run propagates; a consumer that keeps
+    memory flat drops its own reference before asking for the next run."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
+    cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     for p_idx, (x, y) in enumerate(positions):
+        cache.forget_paths()
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
         chspecs = [
             ChannelSpec(
@@ -306,50 +391,75 @@ def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
                     emit_time=0.0,
                     window=cfg.t_ob,
                     noise_power=powers[b],
+                    cache=cache,
                 )
                 for b in range(3)
             ]
             if dump_dir is not None and p_idx == 0 and r_idx == 0:
                 _dump_traces(traces, dump_dir)
             yield p_idx, r_idx, traces
+            del traces
 
 
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     """Run the full Monte Carlo and return (trials, summary, timings).
 
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
-    time spent estimating and localizing for it; propagation and the LPF
-    filtering shared by all sampling rates are excluded.
+    time spent estimating and localizing for it, and each estimator family
+    ("ctma", "sampling") to the time of the per-trace stage its points share
+    (the windowed energy, the LPF filtering); propagation is excluded.
     """
     prep = prepare(cfg)
     trials: list[TrialResult] = []
-    timings: dict[tuple, float] = defaultdict(float)
+    timings: dict = defaultdict(float)
     for p_idx, r_idx, traces in _received_traces(prep, prep.positions, dump_dir):
         trials += _estimate(prep, traces, p_idx, r_idx, timings)
+        del traces
     summary = {"config": cfg.to_dict(), "results": summarize(trials)}
     return trials, summary, dict(timings)
 
 
 def _estimate(prep, traces, p_idx, r_idx, timings) -> list[TrialResult]:
     """One trial-run's localizations, for every bank and then every sampling
-    rate; each trace is low-pass filtered once and sampled at every rate.
-    Kept apart from the run loop so the filtered traces are freed on return,
-    not held while the next run propagates (peak memory)."""
+    rate. Each trace's windowed energy and LPF output are computed once,
+    used by every bank or rate, and dropped before the next trace's (peak
+    memory)."""
+    bank_taus = [[] for _ in prep.banks]
+    rate_taus = [[] for _ in prep.sampling_rates]
+    for trace in traces:
+        if prep.banks:
+            energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
+            for bank, taus in zip(prep.banks, bank_taus):
+                estimate = _timed(
+                    timings, ("ctma", bank.alpha, None), iterative_toa, trace, bank, energy=energy
+                )
+                taus.append(estimate.tau)
+            del energy
+        if prep.sampling_rates:
+            filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
+            for f_s, taus in zip(prep.sampling_rates, rate_taus):
+                taus.append(_timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s))
+            del filtered
     trials = []
-    for bank in prep.banks:
-        start = time.perf_counter()
-        taus = [iterative_toa(trace, bank).tau for trace in traces]
+    for bank, taus in zip(prep.banks, bank_taus):
+        key = ("ctma", bank.alpha, None)
         trials.append(
-            _localize(prep, taus, prep.ctma_offset, "ctma", bank.alpha, None, p_idx, r_idx)
+            _timed(timings, key, _localize, prep, taus, prep.ctma_offset, *key, p_idx, r_idx)
         )
-        timings["ctma", bank.alpha, None] += time.perf_counter() - start
-    filtered = [lpf_approximation(t, prep.t_p) for t in traces] if prep.sampling_rates else ()
-    for f_s in prep.sampling_rates:
-        start = time.perf_counter()
-        taus = [sampling_toa(trace, f_s) for trace in filtered]
-        trials.append(_localize(prep, taus, prep.lpf_offset, "sampling", None, f_s, p_idx, r_idx))
-        timings["sampling", None, f_s] += time.perf_counter() - start
+    for f_s, taus in zip(prep.sampling_rates, rate_taus):
+        key = ("sampling", None, f_s)
+        trials.append(
+            _timed(timings, key, _localize, prep, taus, prep.lpf_offset, *key, p_idx, r_idx)
+        )
     return trials
+
+
+def _timed(timings, key, fn, *args, **kwargs):
+    """fn(*args, **kwargs), adding its wall time to timings[key]."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    timings[key] += time.perf_counter() - start
+    return out
 
 
 def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialResult:
@@ -457,22 +567,32 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
 
     rows = []
     for _, r_idx, traces in _received_traces(prep, (cfg.toa_position,), dump_dir):
-        for bank in prep.banks:
-            for b in range(3):
-                estimate = iterative_toa(traces[b], bank)
-                rows.append(
-                    {
-                        "alpha": bank.alpha,
-                        "branches": bank.branches,
-                        "stages": bank.stages,
-                        "bs": b + 1,
-                        "run_index": r_idx,
-                        "tau_hat_s": estimate.tau,
-                        "true_delay_s": float(dists[b]) / C0,
-                        "peak_offset_s": prep.ctma_offset,
-                    }
-                )
+        rows += _toa_rows(prep, traces, dists, r_idx)
+        del traces
     rows.sort(key=lambda r: (r["alpha"], r["run_index"], r["bs"]))
+    return rows
+
+
+def _toa_rows(prep, traces, dists, r_idx) -> list[dict]:
+    """One run's TOA rows; each trace's windowed energy is computed once,
+    shared by every bank and dropped before the next trace's."""
+    rows = []
+    for b, trace in enumerate(traces):
+        energy = _windowed_energy(trace, prep.t_p)
+        for bank in prep.banks:
+            rows.append(
+                {
+                    "alpha": bank.alpha,
+                    "branches": bank.branches,
+                    "stages": bank.stages,
+                    "bs": b + 1,
+                    "run_index": r_idx,
+                    "tau_hat_s": iterative_toa(trace, bank, energy=energy).tau,
+                    "true_delay_s": float(dists[b]) / C0,
+                    "peak_offset_s": prep.ctma_offset,
+                }
+            )
+        del energy
     return rows
 
 

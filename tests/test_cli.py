@@ -1,9 +1,15 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwave_tdoa.cli import main
 from mmwave_tdoa.errors import SimulationError
+from mmwave_tdoa.harness import ExperimentConfig
 
 TINY_CFG = {
     "n_positions": 2,
@@ -125,7 +131,7 @@ def test_sweep_writes_table(cfg_path, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--dump-traces"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "estimator,alpha,f_s_hz,aede_m,n_trials,runtime_s"
+    assert lines[0] == "estimator,alpha,f_s_hz,aede_m,n_trials,runtime_s,shared_s"
     assert len(lines) == 3
     assert len(list((out / "traces").iterdir())) == 3
 
@@ -153,3 +159,110 @@ def test_runtime_failure_maps_to_exit_3(cfg_path, tmp_path, monkeypatch, capsys)
     code = main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkeypatch):
+    """The hooks the benchmark tracer relies on: one `harness.propagate` call
+    per (position, run, receiver) in loop order, each with the seed
+    SeedSequence([seed, position, run, receiver]), and one windowed energy
+    per trace however many banks share it."""
+    from mmwave_tdoa import detector, harness
+
+    seeds, energies = [], []
+    real_propagate, real_energy = harness.propagate, detector._windowed_energy
+
+    def propagate(*args, seed, **kwargs):
+        seeds.append(list(seed.entropy))
+        return real_propagate(*args, seed=seed, **kwargs)
+
+    def windowed_energy(*args, **kwargs):
+        if seeds:  # the calibration in prepare() runs before the first trace
+            energies.append(len(seeds))
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", propagate)
+    monkeypatch.setattr(harness, "_windowed_energy", windowed_energy)
+    monkeypatch.setattr(detector, "_windowed_energy", windowed_energy)
+    cfg = {**TINY_CFG, "n_runs": 3, "mq_pairs": [[10, 2], [12, 2]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    order = [[11, p, r, b] for p in range(2) for r in range(3) for b in range(3)]
+    assert seeds == order
+    # Trace k's energy is computed after that run's three traces exist.
+    assert energies == [3 * (k // 3 + 1) for k in range(18)]
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"n_runs": "3"}, "n_runs"),
+        ({"mq_pairs": [[2, "x"]]}, "mq_pairs"),
+        ({"band": [1e11]}, "band"),
+        ({"seed": -1}, "seed"),
+        ({"step": "5e-14"}, "step"),
+        ({"n_runs": 2.5}, "n_runs"),
+        ({"sampling_rates": [math.nan]}, "sampling_rates"),
+        ({"n_positions": True}, "n_positions"),
+        ({"guard_radius": 1.5}, "guard_radius"),
+        ({"absorption_path": "missing.csv"}, "absorption table"),
+    ],
+)
+def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CFG, **override}))
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+# Values for the fuzz test: each field's default scaled or shifted a little
+# (so no draw asks for an unbounded grid or position count), or junk of any
+# JSON type.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**30)]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _near(default):
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2, 2).map(lambda k: default + k)
+    if isinstance(default, float):
+        return st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]).map(lambda k: default * k)
+    if isinstance(default, str):
+        return st.sampled_from(["peak", "quadratic", "both", "ctma", "x", default])
+    if isinstance(default, tuple):
+        return st.lists(_near(default[0]) | JUNK, max_size=len(default) + 1)
+    return st.none()
+
+
+_DEFAULTS = ExperimentConfig()
+FIELD_VALUES = {
+    name: _near(getattr(_DEFAULTS, name)) | JUNK for name in ExperimentConfig.__dataclass_fields__
+}
+FIELD_VALUES["mq_pairs"] = st.lists(
+    st.lists(st.integers(-1, 14) | st.sampled_from([10**12]) | JUNK, max_size=3), max_size=3
+) | JUNK
+FIELD_VALUES["absorption_path"] = st.sampled_from([None, "", "missing.csv", ".", 3])
+FIELD_VALUES["species_fractions"] = st.none() | st.dictionaries(
+    st.text(max_size=3), st.floats(0.0, 1.0) | JUNK, max_size=2
+)
+FIELD_VALUES["bogus_key"] = st.integers()
+CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({k: FIELD_VALUES[k] for k in keys})
+)
+
+
+@given(data=CONFIGS)
+@settings(max_examples=60, deadline=None)
+def test_validate_config_never_raises(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-config", "--config", str(path)]) in (0, 2)

@@ -283,3 +283,38 @@ def test_bank_config_validation():
         DetectorBankConfig(branches=3, stages=2, t_ob=1e-11, t_p=1e-11)
     with pytest.raises(ConfigurationError):
         DetectorBankConfig(branches=10, stages=70, t_ob=10e-9, t_p=1e-11)
+
+
+# ------------------------------------------------------ shared per-trace stages
+
+
+def test_shared_energy_gives_the_same_estimate_for_every_desk_bank(pulse2, tp2, flat_table):
+    from mmwave_tdoa.channel import ChannelSpec, propagate
+    from mmwave_tdoa.detector import _windowed_energy
+
+    spec = ChannelSpec(distance=1.3, center_frequency=200e9, band=(100e9, 300e9))
+    v = propagate(pulse2, spec, flat_table, seed=7, window=T_OB, noise_power=1e-12)
+    energy = _windowed_energy(v, tp2)
+    for m, q in ((12, 2), (2, 11), (10, 3)):  # configs/desk_sweep.json
+        cfg = bank(m, q, tp2)
+        assert iterative_toa(v, cfg, energy=energy) == iterative_toa(v, cfg)
+        assert iterative_toa(v, cfg, noise_power=1e-12, energy=energy) == iterative_toa(
+            v, cfg, noise_power=1e-12
+        )
+    with pytest.raises(ConfigurationError, match="grid"):
+        iterative_toa(v, bank(10, 2, tp2), energy=energy[:-1])
+
+
+def test_lpf_with_cached_kernel_matches_an_uncached_kernel(tp2):
+    v = place_pulse(2, 200e9, 4.321e-9, STEP, N_OB)
+    first, second = lpf_approximation(v, tp2), lpf_approximation(v, tp2)
+    assert np.array_equal(first.samples, second.samples)
+
+    beta = 1.4615 / tp2
+    n_kernel = int(np.ceil(20.0 / (beta * STEP)))
+    t = np.arange(n_kernel) * STEP
+    kernel = beta * beta * t * np.exp(-beta * t)
+    squared = v.samples * v.samples
+    nfft = 1 << int(np.ceil(np.log2(squared.size + n_kernel)))
+    out = np.fft.irfft(np.fft.rfft(squared, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    assert np.array_equal(first.samples, out[: squared.size] * STEP)

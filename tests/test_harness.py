@@ -1,10 +1,21 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwave_tdoa import C0, ConfigurationError, ExperimentConfig, aede, run_experiment
-from mmwave_tdoa.harness import TrialResult, prepare, summarize, toa_sweep
+from mmwave_tdoa import harness
+from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, propagate, transmit_psd
+from mmwave_tdoa.harness import (
+    TrialResult,
+    _received_traces,
+    _trace_seed,
+    prepare,
+    summarize,
+    toa_sweep,
+)
 from mmwave_tdoa.locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 
 
@@ -261,3 +272,63 @@ def test_dump_traces(tmp_path):
     assert files == ["pos000_run000_bs1.csv", "pos000_run000_bs2.csv", "pos000_run000_bs3.csv"]
     header = (tmp_path / "traces" / files[0]).read_text().splitlines()[0]
     assert header == "time_s,value"
+
+
+# -------------------------------------------------- run-invariant signal caches
+
+
+def test_cached_traces_match_single_shot_propagation():
+    """Every trace the shared loop yields (clean waveform cached per position,
+    spectra per experiment) equals a fresh propagate with the same seed."""
+    cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
+    prep = prepare(cfg)
+    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
+    anchors = prep.layout.positions()
+    seen = 0
+    for p_idx, r_idx, traces in _received_traces(prep, prep.positions):
+        x, y = prep.positions[p_idx]
+        for b, trace in enumerate(traces):
+            spec = ChannelSpec(
+                distance=float(np.hypot(anchors[b, 0] - x, anchors[b, 1] - y)),
+                center_frequency=cfg.pulse_center_frequency,
+                band=cfg.band,
+                temperature=cfg.temperature,
+            )
+            fresh = propagate(
+                prep.tx, spec, prep.table, seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
+                window=cfg.t_ob, noise_power=noise_variance(spec, prep.table, psd),
+            )
+            assert np.array_equal(trace.samples, fresh.samples)
+            seen += 1
+    assert seen == 2 * 3 * 3
+
+
+def test_path_cache_rejects_a_mismatched_call(pulse2, flat_table):
+    spec = ChannelSpec(distance=1.0, center_frequency=200e9, band=(100e9, 300e9))
+    cache = PathCache(pulse2, flat_table, window=10e-9)
+    with pytest.raises(ConfigurationError, match="another pulse"):
+        propagate(pulse2, spec, flat_table, seed=0, window=5e-9, noise_power=0.0, cache=cache)
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])
+def test_each_run_is_freed_before_the_next_propagates(monkeypatch, entry):
+    """When the next run's first trace propagates, no trace of an earlier run
+    is still referenced, by the loop or by its consumer."""
+    runs: dict = {}
+    leaks = []
+    real = harness.propagate
+
+    def spy(*args, seed, **kwargs):
+        run = tuple(seed.entropy[1:3])
+        if run not in runs:
+            leaks.append(sum(r() is not None for old in runs.values() for r in old))
+            runs[run] = []
+        trace = real(*args, seed=seed, **kwargs)
+        runs[run].append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(harness, "propagate", spy)
+    cfg = ExperimentConfig(**{**TINY, "n_runs": 3, "mq_pairs": ((10, 2), (12, 2))})
+    getattr(harness, entry)(cfg)
+    assert len(runs) == (6 if entry == "run_experiment" else 3)
+    assert leaks == [0] * len(runs)
