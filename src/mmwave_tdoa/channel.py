@@ -235,17 +235,55 @@ def noise_variance(spec: ChannelSpec, table: AbsorptionTable, pulse_psd) -> floa
     return float(np.trapezoid(total, f))
 
 
-def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], power: float):
-    """White Gaussian noise restricted to the band, with total power `power`."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
+def _fast_length(minimum: int) -> int:
+    """Smallest 2^a 3^b 5^c >= minimum: a length pocketfft transforms at full speed."""
+    best = 1 << (minimum - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35
+            while length < minimum:
+                length *= 2
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _noise_kernel_spectrum(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
+    """Spectrum, at `_fast_length(2 n - 1)`, of the n-point circular band-pass
+    that keeps the rfft bins inside the band. Read-only, because every noisy
+    trace of an experiment shares it."""
     freqs = np.fft.rfftfreq(n, step)
-    spectrum[(freqs < band[0]) | (freqs > band[1])] = 0.0
-    shaped = np.fft.irfft(spectrum, n)
+    mask = ((freqs >= band[0]) & (freqs <= band[1])).astype(np.float64)
+    spectrum = np.fft.rfft(np.fft.irfft(mask, n), _fast_length(2 * n - 1))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _band_limited_noise(
+    rng, n: int, step: float, band: tuple[float, float], power: float, kernel: np.ndarray
+):
+    """White Gaussian noise restricted to the band, with total power `power`.
+
+    `kernel` is `_noise_kernel_spectrum(n, step, band)`. The n-point white
+    draw goes through that circular band-pass as a linear convolution at a
+    fast length, folded back onto n points: the same noise as zeroing the
+    out-of-band bins of an n-point rfft, to rounding, without a transform
+    at the length n (a slow one when n has large prime factors).
+    """
+    length = _fast_length(2 * n - 1)
+    spectrum = np.fft.rfft(rng.standard_normal(n), length)
+    spectrum *= kernel
+    shaped = np.fft.irfft(spectrum, length)
+    del spectrum
+    # The linear convolution has 2n - 1 points; point k + n wraps onto k.
+    shaped[: n - 1] += shaped[n : 2 * n - 1]
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
     # of its power inside the band; rescale to the requested total power.
     kept = 2.0 * (band[1] - band[0]) * step
-    return shaped * np.sqrt(power / kept)
+    return shaped[:n] * np.sqrt(power / kept)
 
 
 class PathCache:
@@ -255,8 +293,10 @@ class PathCache:
     On construction: the pulse spectrum and the absorption exponent
     -0.5 k(f) on the propagation FFT grid, shared by every path. On first
     use of a path: its clean (noise-free) received waveform, shared by every
-    noise run over that path until `forget_paths`. The caller owns the
-    cache; cached arrays are read-only because every trace may share them.
+    noise run over that path until `forget_paths`. On first use of a
+    receiver band: the spectrum of its noise band-pass, shared by every
+    noisy trace. The caller owns the cache; cached arrays are read-only
+    because every trace may share them.
     """
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
@@ -265,10 +305,10 @@ class PathCache:
         self.nfft = 1
         while self.nfft < self.n_out + pulse.samples.size + 4096:
             self.nfft *= 2
-        self.freqs = np.fft.rfftfreq(self.nfft, pulse.step)
         self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
-        self.absorption = -0.5 * table.coefficient(self.freqs)
+        self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
         self._clean: dict[tuple, np.ndarray] = {}
+        self._noise_kernels: dict[tuple, np.ndarray] = {}
 
     def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
         """Noise-free received samples on [0, window] for a path whose pulse
@@ -277,12 +317,20 @@ class PathCache:
         if key not in self._clean:
             amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
             response = amplitude * np.exp(self.absorption * spec.distance)
-            shift = np.exp(-2j * np.pi * self.freqs * arrival_start)
+            freqs = np.fft.rfftfreq(self.nfft, self.pulse.step)
+            shift = np.exp(-2j * np.pi * freqs * arrival_start)
             product = self.spectrum * response * shift
             received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
             received.flags.writeable = False
             self._clean[key] = received
         return self._clean[key]
+
+    def noise_kernel(self, band: tuple[float, float]) -> np.ndarray:
+        """Spectrum of the band-pass that shapes the noise of every trace
+        received in this band (see `_band_limited_noise`)."""
+        if band not in self._noise_kernels:
+            self._noise_kernels[band] = _noise_kernel_spectrum(self.n_out, self.pulse.step, band)
+        return self._noise_kernels[band]
 
     def forget_paths(self) -> None:
         """Drop the cached clean waveforms (the shared spectra stay)."""
@@ -341,6 +389,9 @@ def propagate(
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        received = received + _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
+        kernel = cache.noise_kernel(spec.band)
+        received = received + _band_limited_noise(
+            rng, cache.n_out, step, spec.band, noise_power, kernel
+        )
 
     return SignalTrace(start_time=0.0, step=step, samples=received, units="V")

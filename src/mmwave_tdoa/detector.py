@@ -202,18 +202,28 @@ def iterative_toa(
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau, detected=detected)
 
 
-def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
+def sampling_toa(
+    filtered: SignalTrace, f_s: float, times: np.ndarray | None = None
+) -> float:
     """Nyquist-style baseline: sample the low-pass detector output
     (`lpf_approximation` of the received trace) at rate f_s (phase anchored
-    at t = 0) and return the time of the largest sample."""
+    at t = 0) and return the time of the largest sample.
+
+    `times`, if given, must be `filtered.times()`: every rate sampling the
+    same output then shares one time axis.
+    """
     grid_rate = 1.0 / filtered.step
     if f_s > grid_rate * (1.0 + 1e-12):
         raise ConfigurationError(
             f"sampling rate {f_s:.3e} Hz exceeds the internal grid rate {grid_rate:.3e} Hz"
         )
+    if times is None:
+        times = filtered.times()
+    elif times.shape != filtered.samples.shape:
+        raise ConfigurationError("time axis does not match the filtered trace")
     first = int(np.ceil(filtered.start_time * f_s - 1e-9))
     t_samples = np.arange(first, int(np.floor(filtered.end_time * f_s + 1e-9)) + 1) / f_s
-    values = np.interp(t_samples, filtered.times(), filtered.samples)
+    values = np.interp(t_samples, times, filtered.samples)
     return float(t_samples[int(np.argmax(values))])
 
 

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ from .trace import SignalTrace, dump_csv
 TOA_MODES = ("peak", "start-corrected")
 R1_MODES = ("known-clock", "quadratic")
 ESTIMATORS = ("ctma", "sampling", "both")
+# Ceiling on the points of one received trace (t_ob / step + 1), 84 times
+# the default 10 ns, 0.05 ps grid: every trace, transform and cached
+# spectrum grows with it.
+MAX_GRID_POINTS = 2**24
 
 
 _REAL_FIELDS = (
@@ -250,15 +255,16 @@ class PreparedExperiment:
 
 def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     """Validate everything that can fail, before any trial runs."""
-    path = cfg.absorption_path or default_absorption_path()
-    table = ingest_absorption(path, cfg.species_fractions)
-    _require_band_covered(table, cfg.band)
     spec = PulseSpec(
         order=cfg.pulse_order,
         center_frequency=cfg.pulse_center_frequency,
         power=cfg.pulse_power,
         energy_fraction_for_duration=cfg.energy_fraction,
     )
+    _require_bounded_grid(cfg, spec)
+    path = cfg.absorption_path or default_absorption_path()
+    table = ingest_absorption(path, cfg.species_fractions)
+    _require_band_covered(table, cfg.band)
     tx = generate_pulse(spec, cfg.step)
     t_p = effective_duration(tx, cfg.energy_fraction)
 
@@ -316,6 +322,26 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     )
 
 
+def _require_bounded_grid(cfg: ExperimentConfig, spec: PulseSpec) -> None:
+    """Reject a config whose dense grids would outgrow memory, before any
+    array is built: every received trace spans t_ob on the step grid, and
+    the pulse (and its calibration trace) spans the pulse support."""
+    points = cfg.t_ob / cfg.step + 1.0
+    if points > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"step = {cfg.step:.3e} s over t_ob = {cfg.t_ob:.3e} s needs {points:.4g} "
+            f"grid points per trace, above the limit of {MAX_GRID_POINTS} (2**24); "
+            "raise step or shorten t_ob"
+        )
+    support = 2.0 * spec.half_width
+    if support > cfg.t_ob:
+        raise ConfigurationError(
+            f"pulse_center_frequency = {cfg.pulse_center_frequency:.3e} Hz with "
+            f"pulse_order = {cfg.pulse_order} gives a pulse support of {support:.3e} s, "
+            f"longer than t_ob = {cfg.t_ob:.3e} s"
+        )
+
+
 def _draw_positions(cfg: ExperimentConfig) -> tuple[tuple[float, float], ...]:
     """Uniform over the open square, outside a guard ring around each receiver."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E33]))
@@ -353,17 +379,22 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
 
 
 def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
-    """Yield (position index, run index, three received traces) for every run
-    at every position; each trace is propagated once, with its own seed.
+    """Yield (position index, run index, traces) for every run at every
+    position, where `traces` iterates over the run's three received traces;
+    each trace is propagated once, with its own seed.
 
-    The pulse spectrum is computed once here, each path's clean waveform once
-    per position (in its first run's `propagate` call), and each run's traces
-    are released before the next run propagates; a consumer that keeps
-    memory flat drops its own reference before asking for the next run."""
+    The pulse spectrum and the noise band-pass are computed once here, each
+    path's clean waveform once per position (in its first run's `propagate`
+    call). A run's traces are propagated one at a time, as the consumer asks
+    for them, so a consumer that drops each trace (and what it derived from
+    it) before asking for the next keeps one received trace in memory."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
+    if cfg.noise:
+        # Built before any trace exists, so its temporaries add nothing to the peak.
+        cache.noise_kernel(cfg.band)
     for p_idx, (x, y) in enumerate(positions):
         cache.forget_paths()
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
@@ -382,23 +413,30 @@ def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
             powers = [0.0, 0.0, 0.0]
 
         for r_idx in range(cfg.n_runs):
-            traces = [
-                propagate(
-                    prep.tx,
-                    chspecs[b],
-                    prep.table,
-                    seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
-                    emit_time=0.0,
-                    window=cfg.t_ob,
-                    noise_power=powers[b],
-                    cache=cache,
-                )
-                for b in range(3)
-            ]
-            if dump_dir is not None and p_idx == 0 and r_idx == 0:
-                _dump_traces(traces, dump_dir)
-            yield p_idx, r_idx, traces
-            del traces
+            dump = dump_dir if p_idx == 0 and r_idx == 0 else None
+            yield p_idx, r_idx, _run_traces(prep, cache, chspecs, powers, p_idx, r_idx, dump)
+
+
+def _run_traces(prep, cache, chspecs, powers, p_idx, r_idx, dump_dir):
+    """The three received traces of one run, each propagated when asked for
+    and released here before the next one propagates."""
+    cfg = prep.config
+    for b in range(3):
+        trace = propagate(
+            prep.tx,
+            chspecs[b],
+            prep.table,
+            seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
+            emit_time=0.0,
+            window=cfg.t_ob,
+            noise_power=powers[b],
+            cache=cache,
+        )
+        if dump_dir is not None:
+            os.makedirs(dump_dir, exist_ok=True)
+            dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{b + 1}.csv"))
+        yield trace
+        del trace
 
 
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):
@@ -407,23 +445,23 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
     time spent estimating and localizing for it, and each estimator family
     ("ctma", "sampling") to the time of the per-trace stage its points share
-    (the windowed energy, the LPF filtering); propagation is excluded.
+    (the windowed energy; the LPF filtering and its time axis); propagation
+    is excluded.
     """
     prep = prepare(cfg)
     trials: list[TrialResult] = []
     timings: dict = defaultdict(float)
     for p_idx, r_idx, traces in _received_traces(prep, prep.positions, dump_dir):
         trials += _estimate(prep, traces, p_idx, r_idx, timings)
-        del traces
     summary = {"config": cfg.to_dict(), "results": summarize(trials)}
     return trials, summary, dict(timings)
 
 
 def _estimate(prep, traces, p_idx, r_idx, timings) -> list[TrialResult]:
     """One trial-run's localizations, for every bank and then every sampling
-    rate. Each trace's windowed energy and LPF output are computed once,
-    used by every bank or rate, and dropped before the next trace's (peak
-    memory)."""
+    rate. Each trace's windowed energy, LPF output and time axis are
+    computed once and used by every bank or rate; the trace and all three
+    are dropped before the next trace propagates (peak memory)."""
     bank_taus = [[] for _ in prep.banks]
     rate_taus = [[] for _ in prep.sampling_rates]
     for trace in traces:
@@ -437,9 +475,15 @@ def _estimate(prep, traces, p_idx, r_idx, timings) -> list[TrialResult]:
             del energy
         if prep.sampling_rates:
             filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
+            times = _timed(timings, "sampling", filtered.times)
             for f_s, taus in zip(prep.sampling_rates, rate_taus):
-                taus.append(_timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s))
-            del filtered
+                taus.append(
+                    _timed(
+                        timings, ("sampling", None, f_s), sampling_toa, filtered, f_s, times=times
+                    )
+                )
+            del filtered, times
+        del trace
     trials = []
     for bank, taus in zip(prep.banks, bank_taus):
         key = ("ctma", bank.alpha, None)
@@ -493,14 +537,6 @@ def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialR
         tau3=taus[2],
         error=math.hypot(est_x - x, est_y - y),
     )
-
-
-def _dump_traces(traces, dump_dir):
-    import os
-
-    os.makedirs(dump_dir, exist_ok=True)
-    for b, trace in enumerate(traces):
-        dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{b + 1}.csv"))
 
 
 def aede(trials) -> float:
@@ -568,16 +604,19 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     rows = []
     for _, r_idx, traces in _received_traces(prep, (cfg.toa_position,), dump_dir):
         rows += _toa_rows(prep, traces, dists, r_idx)
-        del traces
     rows.sort(key=lambda r: (r["alpha"], r["run_index"], r["bs"]))
     return rows
 
 
 def _toa_rows(prep, traces, dists, r_idx) -> list[dict]:
-    """One run's TOA rows; each trace's windowed energy is computed once,
-    shared by every bank and dropped before the next trace's."""
+    """One run's TOA rows; each trace's windowed energy is computed once and
+    shared by every bank, and both are dropped before the next trace
+    propagates."""
     rows = []
-    for b, trace in enumerate(traces):
+    # Not enumerate(traces): its reused result tuple would keep trace b
+    # alive while trace b + 1 propagates.
+    for b, dist in enumerate(dists):
+        trace = next(traces)
         energy = _windowed_energy(trace, prep.t_p)
         for bank in prep.banks:
             rows.append(
@@ -588,11 +627,11 @@ def _toa_rows(prep, traces, dists, r_idx) -> list[dict]:
                     "bs": b + 1,
                     "run_index": r_idx,
                     "tau_hat_s": iterative_toa(trace, bank, energy=energy).tau,
-                    "true_delay_s": float(dists[b]) / C0,
+                    "true_delay_s": float(dist) / C0,
                     "peak_offset_s": prep.ctma_offset,
                 }
             )
-        del energy
+        del energy, trace
     return rows
 
 

@@ -57,6 +57,12 @@ class PulseSpec:
             )
         return math.sqrt(self.order) / (2.0 * math.pi * self.center_frequency)
 
+    @property
+    def half_width(self) -> float:
+        """Half-width of the synthesized support: 10 sigma past the
+        outermost oscillation."""
+        return self.sigma * (math.sqrt(2.0 * (2.0 * self.order + 1.0)) + 10.0)
+
 
 def gaussian_derivative(t: np.ndarray, p: int, sigma: float) -> np.ndarray:
     # d^p/dt^p exp(-t^2/(2s^2)) = (-1)^p (s*sqrt2)^-p H_p(t/(s*sqrt2)) exp(-t^2/(2s^2))
@@ -82,12 +88,10 @@ def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:
             f"grid step {step:.3e} s too coarse for f_c = "
             f"{spec.center_frequency:.3e} Hz; need step <= {max_step:.3e} s"
         )
-    sigma = spec.sigma  # raises for order 0
-    half_width = sigma * (math.sqrt(2.0 * (2.0 * spec.order + 1.0)) + 10.0)
-    n_half = int(math.ceil(half_width / step))
+    n_half = int(math.ceil(spec.half_width / step))  # raises for order 0
     t = np.arange(-n_half, n_half + 1) * step
 
-    shape = gaussian_derivative(t, spec.order, sigma)
+    shape = gaussian_derivative(t, spec.order, spec.sigma)
     unit = SignalTrace(start_time=-n_half * step, step=step, samples=shape)
     t_p = effective_duration(unit, spec.energy_fraction_for_duration)
     # Average power over T_p equals spec.power: total energy = power * T_p.

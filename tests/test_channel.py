@@ -13,7 +13,13 @@ from mmwave_tdoa import (
     propagate,
     transmit_psd,
 )
-from mmwave_tdoa.channel import noise_background_psd, noise_self_psd
+from mmwave_tdoa.channel import (
+    PathCache,
+    _band_limited_noise,
+    _noise_kernel_spectrum,
+    noise_background_psd,
+    noise_self_psd,
+)
 
 BAND = (100e9, 300e9)
 
@@ -247,3 +253,73 @@ def test_noise_is_white_within_band(pulse2, flat_table):
     ac = ac / ac[0]
     lag0 = int(round(20.0 / (BAND[1] - BAND[0]) / rx.step))  # 20 periods of 1/B
     assert np.max(np.abs(ac[lag0 : lag0 + 4000])) < 0.05
+
+
+# ----------------------------------------------------------- noise band-pass
+
+
+def _direct_band_limited_noise(rng, n, step, band, power):
+    """Reference filter: zero the out-of-band bins of one n-point rfft."""
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, step)
+    spectrum[(freqs < band[0]) | (freqs > band[1])] = 0.0
+    kept = 2.0 * (band[1] - band[0]) * step
+    return np.fft.irfft(spectrum, n) * np.sqrt(power / kept)
+
+
+@pytest.mark.parametrize("n", [200_001, 200_000])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
+    step = 5e-14
+    kernel = _noise_kernel_spectrum(n, step, BAND)
+    fast = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12, kernel)
+    direct = _direct_band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
+    rms = np.sqrt(np.mean(direct * direct))
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
+
+
+def _largest_prime_factor(n: int) -> int:
+    factor, largest = 2, 1
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)
+
+
+def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, monkeypatch):
+    """Once the cache holds the noise band-pass, every transform of a noisy
+    trace has a length without a prime factor above 7 (the 200,001-point
+    trace itself is 3 * 163 * 409)."""
+    cache = PathCache(pulse2, flat_table, window=10e-9)
+    cache.noise_kernel(BAND)
+    lengths = []
+
+    def spying(real):
+        def spy(a, n=None, *args, **kwargs):
+            out = real(a, n, *args, **kwargs)
+            lengths.append(n if n is not None else np.shape(a)[-1])
+            return out
+
+        return spy
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    for seed in (1, 2):
+        rx = propagate(
+            pulse2, spec_at(1.0), flat_table, seed=seed, window=10e-9, noise_power=1e-16,
+            cache=cache,
+        )
+    assert len(rx) == 200_001
+    # The clean waveform's irfft, then the noise's rfft and irfft per trace.
+    assert len(lengths) == 5
+    assert max(_largest_prime_factor(n) for n in lengths) <= 7
+
+
+def test_noise_band_pass_is_cached_by_value_and_read_only(pulse2, flat_table):
+    cache = PathCache(pulse2, flat_table, window=10e-9)
+    kernel = cache.noise_kernel((100e9, 300e9))
+    assert cache.noise_kernel(tuple([1e11, 3e11])) is kernel
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0] = 0.0

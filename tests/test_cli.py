@@ -189,8 +189,8 @@ def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkey
     assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     order = [[11, p, r, b] for p in range(2) for r in range(3) for b in range(3)]
     assert seeds == order
-    # Trace k's energy is computed after that run's three traces exist.
-    assert energies == [3 * (k // 3 + 1) for k in range(18)]
+    # Each trace's energy is computed right after its own propagate call.
+    assert energies == list(range(1, 19))
 
 
 @pytest.mark.parametrize(
@@ -209,6 +209,27 @@ def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkey
     ],
 )
 def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CFG, **override}))
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"step": 5e-16}, "step"),  # 2e7 points over 10 ns
+        ({"t_ob": 1e-6}, "t_ob"),  # 2e7 points at 0.05 ps
+        ({"pulse_center_frequency": 1e8}, "pulse_center_frequency"),  # 59 ns support
+    ],
+)
+def test_validate_config_bounds_the_grid_before_building_the_pulse(
+    tmp_path, capsys, monkeypatch, override, field
+):
+    def no_pulse(*args, **kwargs):
+        raise AssertionError("generate_pulse called before the grid check")
+
+    monkeypatch.setattr("mmwave_tdoa.harness.generate_pulse", no_pulse)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TINY_CFG, **override}))
     assert main(["validate-config", "--config", str(bad)]) == 2

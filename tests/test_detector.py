@@ -242,6 +242,15 @@ def test_sampling_rejects_super_grid_rate(tp2):
         sampling_toa(lpf_approximation(v, tp2), 2.0 / STEP)
 
 
+def test_shared_time_axis_gives_the_same_estimate_at_every_rate(tp2):
+    out = lpf_approximation(place_pulse(2, 200e9, 4.321e-9, STEP, N_OB), tp2)
+    times = out.times()
+    for f_s in (300e9, 600e9, 1000e9, 2000e9, 3000e9):
+        assert sampling_toa(out, f_s, times=times) == sampling_toa(out, f_s)
+    with pytest.raises(ConfigurationError, match="time axis"):
+        sampling_toa(out, 600e9, times=times[:-1])
+
+
 def test_matched_resolution_agreement(tp2):
     """At a resolution near the pulse duration, both estimators land within
     one cell of each other on clean traces."""

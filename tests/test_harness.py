@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwave_tdoa import C0, ConfigurationError, ExperimentConfig, aede, run_experiment
-from mmwave_tdoa import harness
+from mmwave_tdoa import channel, harness
 from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, propagate, transmit_psd
 from mmwave_tdoa.harness import (
     TrialResult,
@@ -303,6 +303,20 @@ def test_cached_traces_match_single_shot_propagation():
     assert seen == 2 * 3 * 3
 
 
+def test_noise_band_pass_is_built_once_per_experiment(monkeypatch):
+    built = []
+    real = channel._noise_kernel_spectrum
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(channel, "_noise_kernel_spectrum", spy)
+    run_experiment(ExperimentConfig(**{**TINY, "sampling_rates": ()}))
+    assert len(built) == 1
+    assert not built[0].flags.writeable
+
+
 def test_path_cache_rejects_a_mismatched_call(pulse2, flat_table):
     spec = ChannelSpec(distance=1.0, center_frequency=200e9, band=(100e9, 300e9))
     cache = PathCache(pulse2, flat_table, window=10e-9)
@@ -313,15 +327,17 @@ def test_path_cache_rejects_a_mismatched_call(pulse2, flat_table):
 @pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])
 def test_each_run_is_freed_before_the_next_propagates(monkeypatch, entry):
     """When the next run's first trace propagates, no trace of an earlier run
-    is still referenced, by the loop or by its consumer."""
+    is still referenced, by the loop or by its consumer; and when receiver
+    b + 1 propagates, receiver b's trace is gone too."""
     runs: dict = {}
-    leaks = []
+    leaks, in_flight = [], []
     real = harness.propagate
 
     def spy(*args, seed, **kwargs):
         run = tuple(seed.entropy[1:3])
+        in_flight.append(sum(r() is not None for old in runs.values() for r in old))
         if run not in runs:
-            leaks.append(sum(r() is not None for old in runs.values() for r in old))
+            leaks.append(in_flight[-1])
             runs[run] = []
         trace = real(*args, seed=seed, **kwargs)
         runs[run].append(weakref.ref(trace))
@@ -332,3 +348,4 @@ def test_each_run_is_freed_before_the_next_propagates(monkeypatch, entry):
     getattr(harness, entry)(cfg)
     assert len(runs) == (6 if entry == "run_experiment" else 3)
     assert leaks == [0] * len(runs)
+    assert in_flight == [0] * (3 * len(runs))
