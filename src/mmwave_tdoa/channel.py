@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SimulationError
-from .pulse import effective_duration
 from .trace import SignalTrace
 
 C0 = 299_792_458.0  # vacuum speed of light, m/s
@@ -81,7 +80,8 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
     """Load an absorption table from CSV.
 
     Two layouts are accepted:
-      frequency_hz,k_per_m            -- the summed medium coefficient
+      frequency_hz,k_per_m            -- the summed medium coefficient (no
+                                         mole-fraction map)
       frequency_hz,species,K_per_m    -- per-species coefficients, combined as
                                          k(f) = sum_j fraction_j * K_j(f) using
                                          the supplied mole-fraction map
@@ -101,6 +101,10 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
         header = [h.strip().lower() for h in header]
         if header == ["frequency_hz", "k_per_m"]:
             per_species = False
+            if mole_fractions is not None:
+                raise ConfigurationError(
+                    f"{path}: a summed k_per_m table takes no species_fractions map"
+                )
         elif header == ["frequency_hz", "species", "k_per_m"]:
             per_species = True
             if mole_fractions is None:
@@ -342,19 +346,18 @@ def propagate(
     spec: ChannelSpec,
     table: AbsorptionTable,
     seed,
-    emit_time: float = 0.0,
-    window: float = 10e-9,
-    noise_power: float | None = None,
+    window: float,
+    noise_power: float,
     cache: PathCache | None = None,
 ) -> SignalTrace:
     """Received waveform on [0, window]: channel-filtered pulse plus noise.
 
-    The pulse's own time origin is emitted at emit_time, so a waveform
-    feature at pulse-frame time u is received at emit_time + u + R/c0.
-    The delay is applied as a spectral phase, which realizes fractional-step
-    delays exactly in the band-limited sense. `noise_power` overrides the
-    noise variance (0 disables noise); by default it is computed from the
-    pulse itself via noise_variance. Deterministic given the seed.
+    The pulse's own time origin is emitted at t = 0, so a waveform feature
+    at pulse-frame time u is received at u + R/c0. The delay is applied as
+    a spectral phase, which realizes fractional-step delays exactly in the
+    band-limited sense. The noise has variance `noise_power` (0 disables
+    it; see noise_variance for the channel's own). Deterministic given the
+    seed.
 
     `cache`, built for this pulse, table and window, reuses the spectra and
     the clean waveform of a path seen before; the result is bit-identical
@@ -362,7 +365,7 @@ def propagate(
     """
     _require_band_covered(table, spec.band)
     step = pulse.step
-    delay = emit_time + spec.distance / C0
+    delay = spec.distance / C0
     arrival_start = delay + pulse.start_time
     arrival_end = delay + pulse.end_time
     if arrival_start < 0.0:
@@ -381,10 +384,6 @@ def propagate(
         raise ConfigurationError("path cache was built for another pulse, table or window")
     received = cache.clean(spec, arrival_start)
 
-    if noise_power is None:
-        t_p = effective_duration(pulse, 0.9999)
-        psd = transmit_psd(pulse, spec.band, pulse.energy() / t_p)
-        noise_power = noise_variance(spec, table, psd)
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:

@@ -26,9 +26,9 @@ from .harness import (
     prepare,
     run_experiment,
     toa_sweep,
+    trial_rows,
     write_rows_csv,
     write_summary_json,
-    write_trials_csv,
 )
 
 
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
         else:
             trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
-            write_trials_csv(trials, out / "trials.csv")
+            write_rows_csv(trial_rows(trials), out / "trials.csv")
             write_summary_json(summary, out / "summary.json")
             rows = summary["results"]
             if args.command == "sweep":

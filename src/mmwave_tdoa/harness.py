@@ -378,16 +378,15 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
     return np.random.SeedSequence([root, position, run, receiver])
 
 
-def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
-    """Yield (position index, run index, traces) for every run at every
-    position, where `traces` iterates over the run's three received traces;
-    each trace is propagated once, with its own seed.
+def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
+    """Yield (position index, run index, toas) for every run at every
+    position, where toas[b] lists receiver b's TOA for every bank and then
+    every sampling rate (see `_trace_toas`).
 
     The pulse spectrum and the noise band-pass are computed once here, each
     path's clean waveform once per position (in its first run's `propagate`
-    call). A run's traces are propagated one at a time, as the consumer asks
-    for them, so a consumer that drops each trace (and what it derived from
-    it) before asking for the next keeps one received trace in memory."""
+    call). Each trace lives only inside its own `_trace_toas` call, so one
+    received trace is in memory at a time."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
@@ -414,29 +413,54 @@ def _received_traces(prep: PreparedExperiment, positions, dump_dir=None):
 
         for r_idx in range(cfg.n_runs):
             dump = dump_dir if p_idx == 0 and r_idx == 0 else None
-            yield p_idx, r_idx, _run_traces(prep, cache, chspecs, powers, p_idx, r_idx, dump)
+            yield p_idx, r_idx, [
+                _trace_toas(prep, cache, chspecs[b], powers[b], (p_idx, r_idx, b), dump, timings)
+                for b in range(3)
+            ]
 
 
-def _run_traces(prep, cache, chspecs, powers, p_idx, r_idx, dump_dir):
-    """The three received traces of one run, each propagated when asked for
-    and released here before the next one propagates."""
-    cfg = prep.config
-    for b in range(3):
-        trace = propagate(
-            prep.tx,
-            chspecs[b],
-            prep.table,
-            seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
-            emit_time=0.0,
-            window=cfg.t_ob,
-            noise_power=powers[b],
-            cache=cache,
-        )
-        if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
-            dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{b + 1}.csv"))
-        yield trace
-        del trace
+def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> list[float]:
+    """Propagate the received trace of one (position, run, receiver) index
+    with its own seed, write it under dump_dir if given, and return its TOA
+    for every bank and then every sampling rate."""
+    trace = propagate(
+        prep.tx,
+        spec,
+        prep.table,
+        seed=_trace_seed(prep.config.seed, *index),
+        window=prep.config.t_ob,
+        noise_power=noise_power,
+        cache=cache,
+    )
+    if dump_dir is not None:
+        os.makedirs(dump_dir, exist_ok=True)
+        dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{index[2] + 1}.csv"))
+    return _bank_toas(prep, trace, timings) + _rate_toas(prep, trace, timings)
+
+
+def _bank_toas(prep, trace, timings) -> list[float]:
+    """The trace's TOA at every delay bank; every bank ranks its slots on
+    the same windowed energy."""
+    if not prep.banks:
+        return []
+    energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
+    return [
+        _timed(timings, ("ctma", bank.alpha, None), iterative_toa, trace, bank, energy=energy).tau
+        for bank in prep.banks
+    ]
+
+
+def _rate_toas(prep, trace, timings) -> list[float]:
+    """The trace's TOA at every sampling rate; every rate samples the same
+    LPF output on the same time axis."""
+    if not prep.sampling_rates:
+        return []
+    filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
+    times = _timed(timings, "sampling", filtered.times)
+    return [
+        _timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s, times=times)
+        for f_s in prep.sampling_rates
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):
@@ -449,53 +473,18 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     is excluded.
     """
     prep = prepare(cfg)
+    # (key, offset) per sweep point, in the order of each receiver's TOA
+    # list: banks, then rates.
+    points = [(("ctma", bank.alpha, None), prep.ctma_offset) for bank in prep.banks] + [
+        (("sampling", None, f_s), prep.lpf_offset) for f_s in prep.sampling_rates
+    ]
     trials: list[TrialResult] = []
     timings: dict = defaultdict(float)
-    for p_idx, r_idx, traces in _received_traces(prep, prep.positions, dump_dir):
-        trials += _estimate(prep, traces, p_idx, r_idx, timings)
+    for p_idx, r_idx, toas in _run_toas(prep, prep.positions, timings, dump_dir):
+        for (key, offset), taus in zip(points, zip(*toas)):
+            trials.append(_timed(timings, key, _localize, prep, taus, offset, *key, p_idx, r_idx))
     summary = {"config": cfg.to_dict(), "results": summarize(trials)}
     return trials, summary, dict(timings)
-
-
-def _estimate(prep, traces, p_idx, r_idx, timings) -> list[TrialResult]:
-    """One trial-run's localizations, for every bank and then every sampling
-    rate. Each trace's windowed energy, LPF output and time axis are
-    computed once and used by every bank or rate; the trace and all three
-    are dropped before the next trace propagates (peak memory)."""
-    bank_taus = [[] for _ in prep.banks]
-    rate_taus = [[] for _ in prep.sampling_rates]
-    for trace in traces:
-        if prep.banks:
-            energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
-            for bank, taus in zip(prep.banks, bank_taus):
-                estimate = _timed(
-                    timings, ("ctma", bank.alpha, None), iterative_toa, trace, bank, energy=energy
-                )
-                taus.append(estimate.tau)
-            del energy
-        if prep.sampling_rates:
-            filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
-            times = _timed(timings, "sampling", filtered.times)
-            for f_s, taus in zip(prep.sampling_rates, rate_taus):
-                taus.append(
-                    _timed(
-                        timings, ("sampling", None, f_s), sampling_toa, filtered, f_s, times=times
-                    )
-                )
-            del filtered, times
-        del trace
-    trials = []
-    for bank, taus in zip(prep.banks, bank_taus):
-        key = ("ctma", bank.alpha, None)
-        trials.append(
-            _timed(timings, key, _localize, prep, taus, prep.ctma_offset, *key, p_idx, r_idx)
-        )
-    for f_s, taus in zip(prep.sampling_rates, rate_taus):
-        key = ("sampling", None, f_s)
-        trials.append(
-            _timed(timings, key, _localize, prep, taus, prep.lpf_offset, *key, p_idx, r_idx)
-        )
-    return trials
 
 
 def _timed(timings, key, fn, *args, **kwargs):
@@ -591,7 +580,7 @@ def summarize(trials) -> list[dict]:
 
 def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     """Per-run TOA estimates versus alpha for a single node position."""
-    prep = prepare(cfg)
+    prep = dataclasses.replace(prepare(cfg), sampling_rates=())
     if not prep.banks:
         raise ConfigurationError(
             f"simulate-toa needs a delay bank, but estimator {cfg.estimator!r} with "
@@ -602,74 +591,46 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
 
     rows = []
-    for _, r_idx, traces in _received_traces(prep, (cfg.toa_position,), dump_dir):
-        rows += _toa_rows(prep, traces, dists, r_idx)
+    for _, r_idx, toas in _run_toas(prep, (cfg.toa_position,), defaultdict(float), dump_dir):
+        for b, (dist, taus) in enumerate(zip(dists, toas)):
+            for bank, tau in zip(prep.banks, taus):
+                rows.append(
+                    {
+                        "alpha": bank.alpha,
+                        "branches": bank.branches,
+                        "stages": bank.stages,
+                        "bs": b + 1,
+                        "run_index": r_idx,
+                        "tau_hat_s": tau,
+                        "true_delay_s": float(dist) / C0,
+                        "peak_offset_s": prep.ctma_offset,
+                    }
+                )
     rows.sort(key=lambda r: (r["alpha"], r["run_index"], r["bs"]))
     return rows
 
 
-def _toa_rows(prep, traces, dists, r_idx) -> list[dict]:
-    """One run's TOA rows; each trace's windowed energy is computed once and
-    shared by every bank, and both are dropped before the next trace
-    propagates."""
-    rows = []
-    # Not enumerate(traces): its reused result tuple would keep trace b
-    # alive while trace b + 1 propagates.
-    for b, dist in enumerate(dists):
-        trace = next(traces)
-        energy = _windowed_energy(trace, prep.t_p)
-        for bank in prep.banks:
-            rows.append(
-                {
-                    "alpha": bank.alpha,
-                    "branches": bank.branches,
-                    "stages": bank.stages,
-                    "bs": b + 1,
-                    "run_index": r_idx,
-                    "tau_hat_s": iterative_toa(trace, bank, energy=energy).tau,
-                    "true_delay_s": float(dist) / C0,
-                    "peak_offset_s": prep.ctma_offset,
-                }
-            )
-        del energy, trace
-    return rows
+# trials.csv: each column and the TrialResult field it holds.
+_TRIAL_COLUMNS = {
+    "estimator": "estimator",
+    "alpha": "alpha",
+    "f_s_hz": "f_s",
+    "position_index": "position_index",
+    "run_index": "run_index",
+    "true_x_m": "true_x",
+    "true_y_m": "true_y",
+    "est_x_m": "est_x",
+    "est_y_m": "est_y",
+    "tau1_s": "tau1",
+    "tau2_s": "tau2",
+    "tau3_s": "tau3",
+    "error_m": "error",
+}
 
 
-def write_trials_csv(trials, path) -> None:
-    columns = [
-        "estimator",
-        "alpha",
-        "f_s_hz",
-        "position_index",
-        "run_index",
-        "true_x_m",
-        "true_y_m",
-        "est_x_m",
-        "est_y_m",
-        "tau1_s",
-        "tau2_s",
-        "tau3_s",
-        "error_m",
-    ]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for t in trials:
-            row = [
-                t.estimator,
-                "" if t.alpha is None else str(t.alpha),
-                "" if t.f_s is None else repr(t.f_s),
-                str(t.position_index),
-                str(t.run_index),
-                repr(t.true_x),
-                repr(t.true_y),
-                repr(t.est_x),
-                repr(t.est_y),
-                repr(t.tau1),
-                repr(t.tau2),
-                repr(t.tau3),
-                repr(t.error),
-            ]
-            handle.write(",".join(row) + "\n")
+def trial_rows(trials) -> list[dict]:
+    """One trials.csv row per trial, for `write_rows_csv`."""
+    return [{column: getattr(t, name) for column, name in _TRIAL_COLUMNS.items()} for t in trials]
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from mmwave_tdoa.channel import (
     noise_background_psd,
     noise_self_psd,
 )
+from mmwave_tdoa.harness import default_absorption_path
 
 BAND = (100e9, 300e9)
 
@@ -87,6 +92,15 @@ def test_ingest_multi_species_needs_fractions(tmp_path):
         ingest_absorption(path)
     with pytest.raises(ConfigurationError, match="mole fraction"):
         ingest_absorption(path, mole_fractions={"O2": 0.2})
+
+
+def test_packaged_table_regenerates(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_absorption_table.py"
+    out = tmp_path / "table.csv"
+    subprocess.run(
+        [sys.executable, str(script), "--out", str(out)], check=True, capture_output=True
+    )
+    assert out.read_bytes() == Path(default_absorption_path()).read_bytes()
 
 
 def test_table_band_coverage(lossless_table):
@@ -221,16 +235,18 @@ def test_propagation_attenuates_monotonically(pulse2, flat_table):
 
 
 def test_propagation_deterministic_given_seed(pulse2, flat_table):
-    a = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9)
-    b = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9)
+    a = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9, noise_power=1e-16)
+    b = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9, noise_power=1e-16)
     assert np.array_equal(a.samples, b.samples)
-    c = propagate(pulse2, spec_at(2.0), flat_table, seed=100, window=10e-9)
+    c = propagate(pulse2, spec_at(2.0), flat_table, seed=100, window=10e-9, noise_power=1e-16)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_propagation_window_overflow_names_requirement(pulse2, lossless_table):
     with pytest.raises(ConfigurationError, match="at least"):
-        propagate(pulse2, spec_at(C0 * 9e-9), lossless_table, seed=0, window=5e-9)
+        propagate(
+            pulse2, spec_at(C0 * 9e-9), lossless_table, seed=0, window=5e-9, noise_power=0.0
+        )
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):

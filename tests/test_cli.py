@@ -85,7 +85,10 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
     assert summary["config"]["seed"] == 11
     assert len(summary["results"]) == 2
     header = (out / "trials.csv").read_text().splitlines()[0]
-    assert header.startswith("estimator,alpha,f_s_hz,position_index,run_index")
+    assert header == (
+        "estimator,alpha,f_s_hz,position_index,run_index,true_x_m,true_y_m,"
+        "est_x_m,est_y_m,tau1_s,tau2_s,tau3_s,error_m"
+    )
 
 
 def test_simulate_tdoa_deterministic_bytes(cfg_path, tmp_path):
@@ -206,6 +209,7 @@ def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkey
         ({"n_positions": True}, "n_positions"),
         ({"guard_radius": 1.5}, "guard_radius"),
         ({"absorption_path": "missing.csv"}, "absorption table"),
+        ({"species_fractions": {"H2O": 0.5}}, "species_fractions"),  # summed table
     ],
 )
 def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, field):

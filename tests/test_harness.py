@@ -10,7 +10,6 @@ from mmwave_tdoa import channel, harness
 from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, propagate, transmit_psd
 from mmwave_tdoa.harness import (
     TrialResult,
-    _received_traces,
     _trace_seed,
     prepare,
     summarize,
@@ -277,30 +276,38 @@ def test_dump_traces(tmp_path):
 # -------------------------------------------------- run-invariant signal caches
 
 
-def test_cached_traces_match_single_shot_propagation():
-    """Every trace the shared loop yields (clean waveform cached per position,
-    spectra per experiment) equals a fresh propagate with the same seed."""
+def test_cached_traces_match_single_shot_propagation(monkeypatch):
+    """Every trace the shared loop propagates (clean waveform cached per
+    position, spectra per experiment) equals a fresh, uncached propagate of
+    the same path with the same seed and noise power."""
     cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
     prep = prepare(cfg)
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
     anchors = prep.layout.positions()
-    seen = 0
-    for p_idx, r_idx, traces in _received_traces(prep, prep.positions):
+    real = harness.propagate
+    seen = []
+
+    def spy(pulse, spec, table, seed, window, noise_power, cache):
+        trace = real(pulse, spec, table, seed, window, noise_power, cache)
+        _, p_idx, r_idx, b = seed.entropy
         x, y = prep.positions[p_idx]
-        for b, trace in enumerate(traces):
-            spec = ChannelSpec(
-                distance=float(np.hypot(anchors[b, 0] - x, anchors[b, 1] - y)),
-                center_frequency=cfg.pulse_center_frequency,
-                band=cfg.band,
-                temperature=cfg.temperature,
-            )
-            fresh = propagate(
-                prep.tx, spec, prep.table, seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
-                window=cfg.t_ob, noise_power=noise_variance(spec, prep.table, psd),
-            )
-            assert np.array_equal(trace.samples, fresh.samples)
-            seen += 1
-    assert seen == 2 * 3 * 3
+        path = ChannelSpec(
+            distance=float(np.hypot(anchors[b, 0] - x, anchors[b, 1] - y)),
+            center_frequency=cfg.pulse_center_frequency,
+            band=cfg.band,
+            temperature=cfg.temperature,
+        )
+        fresh = real(
+            prep.tx, path, prep.table, seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
+            window=cfg.t_ob, noise_power=noise_variance(path, prep.table, psd),
+        )
+        assert np.array_equal(trace.samples, fresh.samples)
+        seen.append((p_idx, r_idx, b))
+        return trace
+
+    monkeypatch.setattr(harness, "propagate", spy)
+    run_experiment(cfg)
+    assert seen == [(p, r, b) for p in range(2) for r in range(3) for b in range(3)]
 
 
 def test_noise_band_pass_is_built_once_per_experiment(monkeypatch):
