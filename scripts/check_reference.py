@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Check that the current code reproduces every recorded benchmark output.
+
+    python3 scripts/check_reference.py
+
+Runs each benchmark workload's config for every config seed in the pool
+(see `bench/run.py`) once, in this process through `cli.main`, with the
+outputs in a temporary directory. Each run's byte-stable outputs are
+hashed and compared with `bench/reference.json` by the benchmark's own
+gate (`run.compare_reference`). Prints every mismatch and exits 1 if there is
+any, 0 otherwise. Nothing under `bench/` is written. An exact change (one
+that must not move any output) passes this before it is benchmarked.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import run  # noqa: E402  (bench/run.py)
+from mmwave_tdoa import cli  # noqa: E402
+
+
+def main() -> int:
+    reference = run.load_reference().get("workloads", {})
+    checked, mismatches = 0, 0
+    for name, workload in sorted(run.WORKLOADS.items()):
+        for seed in range(run.REFERENCE_SEEDS):
+            cfg = workload.config(seed)
+            with tempfile.TemporaryDirectory() as work:
+                cfg_path = os.path.join(work, "config.json")
+                with open(cfg_path, "w") as handle:
+                    json.dump(cfg, handle)
+                out_dir = os.path.join(work, "out")
+                argv = [workload.command, "--config", cfg_path, "--out", out_dir]
+                captured = io.StringIO()
+                with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+                    exit_code = cli.main(argv)
+                if exit_code != 0:
+                    problems = [f"exit code {exit_code}: {captured.getvalue()[-500:]}"]
+                else:
+                    problems = run.compare_reference(
+                        workload, out_dir, reference.get(name, {}).get(str(seed))
+                    )
+            checked += 1
+            if problems:
+                mismatches += 1
+                print(f"{name} seed {seed}: {'; '.join(problems)}", flush=True)
+    print(f"{mismatches} mismatches out of {checked}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

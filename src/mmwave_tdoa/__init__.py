@@ -4,7 +4,6 @@ from .channel import (
     C0,
     AbsorptionTable,
     ChannelSpec,
-    channel_response,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -56,7 +55,6 @@ __all__ = [
     "ToaTriplet",
     "TrialResult",
     "aede",
-    "channel_response",
     "ctma_output",
     "effective_duration",
     "generate_pulse",

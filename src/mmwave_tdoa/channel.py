@@ -156,6 +156,12 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
                 )
             for _, freq, value in entries:
                 merged[freq] += mole_fractions[species] * value
+        unknown = sorted(set(mole_fractions) - set(grids))
+        if unknown:
+            raise ConfigurationError(
+                f"{path}: species_fractions names species the table does not hold: "
+                + ", ".join(map(repr, unknown))
+            )
         pairs = sorted(merged.items())
         freqs = np.array([f for f, _ in pairs])
         k = np.array([v for _, v in pairs])
@@ -181,19 +187,6 @@ def _require_band_covered(table: AbsorptionTable, band: tuple[float, float]) -> 
             f"absorption table spans [{lo:.3e}, {hi:.3e}] Hz but the band "
             f"[{band[0]:.3e}, {band[1]:.3e}] Hz must be covered"
         )
-
-
-def channel_response(spec: ChannelSpec, table: AbsorptionTable, frequencies) -> np.ndarray:
-    """Complex H(f, R) at the requested frequencies (must lie in the table span)."""
-    f = np.asarray(frequencies, dtype=np.float64)
-    lo, hi = table.span
-    if np.any(f < lo) or np.any(f > hi):
-        raise ConfigurationError("requested frequencies fall outside the table span")
-    r = spec.distance
-    amplitude = C0 / (4.0 * np.pi * r * spec.center_frequency)
-    phase = np.exp(-2j * np.pi * f * r / C0)
-    absorption = np.exp(-0.5 * table.coefficient(f) * r)
-    return amplitude * phase * absorption
 
 
 def transmit_psd(pulse: SignalTrace, band: tuple[float, float], power: float):
@@ -316,7 +309,8 @@ class PathCache:
 
     def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
         """Noise-free received samples on [0, window] for a path whose pulse
-        support starts arriving at arrival_start."""
+        support starts arriving at arrival_start: the pulse spectrum times
+        H(f, R) of the module docstring, the one place it is applied."""
         key = (spec, arrival_start)
         if key not in self._clean:
             amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _fast_length
 from .errors import ConfigurationError
 from .trace import SignalTrace
 
@@ -72,7 +73,6 @@ class ToaEstimate:
     selected: tuple[int, ...]
     taus: tuple[float, ...]
     tau: float
-    detected: bool = True
 
 
 def _windowed_energy(v: SignalTrace, t_win: float) -> np.ndarray:
@@ -117,9 +117,7 @@ def _lpf_kernel_spectrum(t_p: float, step: float, n: int) -> tuple[int, np.ndarr
     n_kernel = int(np.ceil(20.0 / (beta * step)))
     t = np.arange(n_kernel) * step
     kernel = beta * beta * t * np.exp(-beta * t)
-    nfft = 1
-    while nfft < n + n_kernel:
-        nfft *= 2
+    nfft = _fast_length(n + n_kernel)
     spectrum = np.fft.rfft(kernel, nfft)
     spectrum.flags.writeable = False
     return nfft, spectrum
@@ -142,8 +140,6 @@ def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
 def iterative_toa(
     v: SignalTrace,
     cfg: DetectorBankConfig,
-    noise_power: float | None = None,
-    detection_gamma: float = 3.0,
     energy: np.ndarray | None = None,
 ) -> ToaEstimate:
     """Run the Q+1-pass delay-bank refinement over [0, t_ob].
@@ -153,9 +149,6 @@ def iterative_toa(
     branch with the largest held maximum wins; ties go to the larger m,
     i.e. the earlier slot. The single received trace is re-presented to
     every pass, delay lines being modeled as ideal.
-
-    When noise_power is given, the estimate is flagged undetected if the
-    global held maximum stays below gamma * noise_power * t_p.
 
     `energy`, if given, must be `_windowed_energy(v, cfg.t_p)`: every bank
     with the same t_p then ranks slots on one shared array.
@@ -194,12 +187,7 @@ def iterative_toa(
     tau = 0.0
     for q, m_hat in enumerate(selected, start=1):
         tau += (m_count - m_hat) * cfg.t_ob / m_count**q
-
-    detected = True
-    if noise_power is not None:
-        i0, i1 = v.index_range(0.0, cfg.t_ob + 0.5 * v.step)
-        detected = bool(np.max(x[i0:i1]) >= detection_gamma * noise_power * cfg.t_p)
-    return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau, detected=detected)
+    return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
 
 
 def sampling_toa(

@@ -184,14 +184,6 @@ class ExperimentConfig:
         object.__setattr__(self, "sampling_rates", rates)
         object.__setattr__(self, "toa_position", toa_position)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["band"] = list(self.band)
-        out["mq_pairs"] = [list(p) for p in self.mq_pairs]
-        out["sampling_rates"] = list(self.sampling_rates)
-        out["toa_position"] = list(self.toa_position)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
@@ -483,7 +475,7 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     for p_idx, r_idx, toas in _run_toas(prep, prep.positions, timings, dump_dir):
         for (key, offset), taus in zip(points, zip(*toas)):
             trials.append(_timed(timings, key, _localize, prep, taus, offset, *key, p_idx, r_idx))
-    summary = {"config": cfg.to_dict(), "results": summarize(trials)}
+    summary = {"config": dataclasses.asdict(cfg), "results": summarize(trials)}
     return trials, summary, dict(timings)
 
 

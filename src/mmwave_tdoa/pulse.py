@@ -136,11 +136,10 @@ def effective_duration(trace: SignalTrace, fraction: float) -> float:
     return 2.0 * lo_m * trace.step
 
 
-def _power_spectrum(trace: SignalTrace, nfft: int | None = None):
-    if nfft is None:
-        nfft = 1 << 18
-        while nfft < 4 * trace.samples.size:
-            nfft *= 2
+def _power_spectrum(trace: SignalTrace):
+    nfft = 1 << 18
+    while nfft < 4 * trace.samples.size:
+        nfft *= 2
     spectrum = np.fft.rfft(trace.samples, nfft) * trace.step
     freqs = np.fft.rfftfreq(nfft, trace.step)
     return freqs, np.abs(spectrum) ** 2
