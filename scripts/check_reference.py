@@ -22,9 +22,29 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+sys.dont_write_bytecode = True  # importing bench/run.py leaves no __pycache__ there
 
 import run  # noqa: E402  (bench/run.py)
 from mmwave_tdoa import cli  # noqa: E402
+
+
+def check(name: str, workload, seed: int, reference: dict) -> list[str]:
+    """Run config seed `seed` of workload `name` once and return how its
+    byte-stable outputs differ from `reference` (the "workloads" map of
+    `bench/reference.json`); an empty list means they match."""
+    cfg = workload.config(seed)
+    with tempfile.TemporaryDirectory() as work:
+        cfg_path = os.path.join(work, "config.json")
+        with open(cfg_path, "w") as handle:
+            json.dump(cfg, handle)
+        out_dir = os.path.join(work, "out")
+        argv = [workload.command, "--config", cfg_path, "--out", out_dir]
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+            exit_code = cli.main(argv)
+        if exit_code != 0:
+            return [f"exit code {exit_code}: {captured.getvalue()[-500:]}"]
+        return run.compare_reference(workload, out_dir, reference.get(name, {}).get(str(seed)))
 
 
 def main() -> int:
@@ -32,22 +52,7 @@ def main() -> int:
     checked, mismatches = 0, 0
     for name, workload in sorted(run.WORKLOADS.items()):
         for seed in range(run.REFERENCE_SEEDS):
-            cfg = workload.config(seed)
-            with tempfile.TemporaryDirectory() as work:
-                cfg_path = os.path.join(work, "config.json")
-                with open(cfg_path, "w") as handle:
-                    json.dump(cfg, handle)
-                out_dir = os.path.join(work, "out")
-                argv = [workload.command, "--config", cfg_path, "--out", out_dir]
-                captured = io.StringIO()
-                with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
-                    exit_code = cli.main(argv)
-                if exit_code != 0:
-                    problems = [f"exit code {exit_code}: {captured.getvalue()[-500:]}"]
-                else:
-                    problems = run.compare_reference(
-                        workload, out_dir, reference.get(name, {}).get(str(seed))
-                    )
+            problems = check(name, workload, seed, reference)
             checked += 1
             if problems:
                 mismatches += 1

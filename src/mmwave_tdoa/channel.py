@@ -13,6 +13,7 @@ term (thermal emission of the absorbing path) and a self-induced term
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,29 +249,32 @@ def _fast_length(minimum: int) -> int:
     return best
 
 
-def _noise_kernel_spectrum(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
-    """Spectrum, at `_fast_length(2 n - 1)`, of the n-point circular band-pass
-    that keeps the rfft bins inside the band. Read-only, because every noisy
-    trace of an experiment shares it."""
+@functools.lru_cache(maxsize=4)
+def _noise_kernel_spectrum(
+    n: int, step: float, band: tuple[float, float]
+) -> tuple[int, np.ndarray]:
+    """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
+    of the n-point circular band-pass that keeps the rfft bins inside the
+    band. Memoized on its values, and read-only, because every noisy trace
+    of an experiment shares it."""
     freqs = np.fft.rfftfreq(n, step)
     mask = ((freqs >= band[0]) & (freqs <= band[1])).astype(np.float64)
-    spectrum = np.fft.rfft(np.fft.irfft(mask, n), _fast_length(2 * n - 1))
+    length = _fast_length(2 * n - 1)
+    spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)
     spectrum.flags.writeable = False
-    return spectrum
+    return length, spectrum
 
 
-def _band_limited_noise(
-    rng, n: int, step: float, band: tuple[float, float], power: float, kernel: np.ndarray
-):
+def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], power: float):
     """White Gaussian noise restricted to the band, with total power `power`.
 
-    `kernel` is `_noise_kernel_spectrum(n, step, band)`. The n-point white
-    draw goes through that circular band-pass as a linear convolution at a
+    The n-point white draw goes through the circular band-pass of
+    `_noise_kernel_spectrum(n, step, band)` as a linear convolution at a
     fast length, folded back onto n points: the same noise as zeroing the
     out-of-band bins of an n-point rfft, to rounding, without a transform
     at the length n (a slow one when n has large prime factors).
     """
-    length = _fast_length(2 * n - 1)
+    length, kernel = _noise_kernel_spectrum(n, step, band)
     spectrum = np.fft.rfft(rng.standard_normal(n), length)
     spectrum *= kernel
     shaped = np.fft.irfft(spectrum, length)
@@ -285,15 +289,13 @@ def _band_limited_noise(
 
 class PathCache:
     """The parts of `propagate` that no noise seed changes, for one pulse,
-    absorption table and window.
+    absorption table and observation window.
 
     On construction: the pulse spectrum and the absorption exponent
     -0.5 k(f) on the propagation FFT grid, shared by every path. On first
     use of a path: its clean (noise-free) received waveform, shared by every
-    noise run over that path until `forget_paths`. On first use of a
-    receiver band: the spectrum of its noise band-pass, shared by every
-    noisy trace. The caller owns the cache; cached arrays are read-only
-    because every trace may share them.
+    noise run over that path until `forget_paths`. The caller owns the
+    cache; cached arrays are read-only because every trace may share them.
     """
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
@@ -305,7 +307,6 @@ class PathCache:
         self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
         self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
         self._clean: dict[tuple, np.ndarray] = {}
-        self._noise_kernels: dict[tuple, np.ndarray] = {}
 
     def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
         """Noise-free received samples on [0, window] for a path whose pulse
@@ -323,42 +324,25 @@ class PathCache:
             self._clean[key] = received
         return self._clean[key]
 
-    def noise_kernel(self, band: tuple[float, float]) -> np.ndarray:
-        """Spectrum of the band-pass that shapes the noise of every trace
-        received in this band (see `_band_limited_noise`)."""
-        if band not in self._noise_kernels:
-            self._noise_kernels[band] = _noise_kernel_spectrum(self.n_out, self.pulse.step, band)
-        return self._noise_kernels[band]
-
     def forget_paths(self) -> None:
         """Drop the cached clean waveforms (the shared spectra stay)."""
         self._clean.clear()
 
 
-def propagate(
-    pulse: SignalTrace,
-    spec: ChannelSpec,
-    table: AbsorptionTable,
-    seed,
-    window: float,
-    noise_power: float,
-    cache: PathCache | None = None,
-) -> SignalTrace:
-    """Received waveform on [0, window]: channel-filtered pulse plus noise.
+def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> SignalTrace:
+    """Received waveform on [0, cache.window]: the cache's pulse through the
+    channel of `spec` and its absorption table, plus noise.
 
     The pulse's own time origin is emitted at t = 0, so a waveform feature
     at pulse-frame time u is received at u + R/c0. The delay is applied as
     a spectral phase, which realizes fractional-step delays exactly in the
-    band-limited sense. The noise has variance `noise_power` (0 disables
-    it; see noise_variance for the channel's own). Deterministic given the
-    seed.
-
-    `cache`, built for this pulse, table and window, reuses the spectra and
-    the clean waveform of a path seen before; the result is bit-identical
-    to a call without it.
+    band-limited sense. The clean waveform of a path comes from the cache,
+    computed on its first use. The noise has variance `noise_power` (0
+    disables it; see noise_variance for the channel's own). Deterministic
+    given the seed.
     """
-    _require_band_covered(table, spec.band)
-    step = pulse.step
+    pulse, window = cache.pulse, cache.window
+    _require_band_covered(cache.table, spec.band)
     delay = spec.distance / C0
     arrival_start = delay + pulse.start_time
     arrival_end = delay + pulse.end_time
@@ -371,20 +355,14 @@ def propagate(
             f"observation window {window:.3e} s too short; needs at least "
             f"{arrival_end:.3e} s to contain the received pulse"
         )
-
-    if cache is None:
-        cache = PathCache(pulse, table, window)
-    elif not (cache.pulse is pulse and cache.table is table and cache.window == window):
-        raise ConfigurationError("path cache was built for another pulse, table or window")
     received = cache.clean(spec, arrival_start)
 
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        kernel = cache.noise_kernel(spec.band)
         received = received + _band_limited_noise(
-            rng, cache.n_out, step, spec.band, noise_power, kernel
+            rng, cache.n_out, pulse.step, spec.band, noise_power
         )
 
-    return SignalTrace(start_time=0.0, step=step, samples=received, units="V")
+    return SignalTrace(start_time=0.0, step=pulse.step, samples=received)

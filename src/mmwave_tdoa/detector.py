@@ -75,15 +75,17 @@ class ToaEstimate:
     tau: float
 
 
-def _windowed_energy(v: SignalTrace, t_win: float) -> np.ndarray:
-    """Trailing-window energy on the trace grid, zero-extended before the
-    record start: x[i] = integral of v^2 over [t_i - t_win, t_i]."""
+def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
+    """The CTMA integrator output: trailing-window energy on the trace grid,
+    zero-extended before the record start, x(t_i) = integral of v^2 over
+    [t_i - t_win, t_i]."""
     w = int(round(t_win / v.step))
     if w < 1:
         raise ConfigurationError("integration window shorter than one grid step")
     squared = v.samples * v.samples
     cum = np.concatenate([np.zeros(w + 1), np.cumsum(squared)])
-    return (cum[w + 1 :] - cum[1 : -w]) * v.step
+    energy = (cum[w + 1 :] - cum[1 : -w]) * v.step
+    return SignalTrace(start_time=v.start_time, step=v.step, samples=energy)
 
 
 def ctma_output(
@@ -99,7 +101,7 @@ def ctma_output(
         raise ConfigurationError(
             "trace does not cover the requested interval plus integration window"
         )
-    x = _windowed_energy(v, t_win)
+    x = _windowed_energy(v, t_win).samples
     i0, i1 = v.index_range(t_start, t_end + 0.5 * v.step)
     if i1 <= i0:
         raise ConfigurationError("interval contains no grid points")
@@ -132,42 +134,30 @@ def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
     nfft, kernel_spectrum = _lpf_kernel_spectrum(t_p, v.step, squared.size)
     out = np.fft.irfft(np.fft.rfft(squared, nfft) * kernel_spectrum, nfft)
     filtered = out[: squared.size] * v.step
-    return SignalTrace(
-        start_time=v.start_time, step=v.step, samples=filtered, units="V^2"
-    )
+    return SignalTrace(start_time=v.start_time, step=v.step, samples=filtered)
 
 
-def iterative_toa(
-    v: SignalTrace,
-    cfg: DetectorBankConfig,
-    energy: np.ndarray | None = None,
-) -> ToaEstimate:
-    """Run the Q+1-pass delay-bank refinement over [0, t_ob].
+def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
+    """Run the Q+1-pass delay-bank refinement over [0, t_ob] on the CTMA
+    integrator output `energy`, i.e. `_windowed_energy(v, cfg.t_p)` of the
+    received trace v.
 
     Branch m of a pass owns the slot starting (M - m) slot-widths into the
     current interval (branch indexing runs backwards in time), and the
     branch with the largest held maximum wins; ties go to the larger m,
     i.e. the earlier slot. The single received trace is re-presented to
     every pass, delay lines being modeled as ideal.
-
-    `energy`, if given, must be `_windowed_energy(v, cfg.t_p)`: every bank
-    with the same t_p then ranks slots on one shared array.
     """
     delta = cfg.resolution
-    if delta < 4.0 * v.step:
+    if delta < 4.0 * energy.step:
         raise ConfigurationError(
             f"resolution {delta:.3e} s below 4 grid steps "
-            f"({4.0 * v.step:.3e} s); refine the grid or relax the bank"
+            f"({4.0 * energy.step:.3e} s); refine the grid or relax the bank"
         )
-    if v.start_time > 0.0 or v.end_time < cfg.t_ob - 0.5 * v.step:
+    if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
         raise ConfigurationError("trace must cover the observation window [0, t_ob]")
 
-    if energy is None:
-        x = _windowed_energy(v, cfg.t_p)
-    elif energy.shape == v.samples.shape:
-        x = energy
-    else:
-        raise ConfigurationError("windowed energy does not match the trace grid")
+    x = energy.samples
     m_count = cfg.branches
     selected: list[int] = []
     taus: list[float] = []
@@ -176,7 +166,7 @@ def iterative_toa(
         width = cfg.t_ob / m_count**q
         best_j, best_val = 0, -np.inf
         for j in range(m_count):  # j counts slots in time order
-            i0, i1 = v.index_range(slot_start + j * width, slot_start + (j + 1) * width)
+            i0, i1 = energy.index_range(slot_start + j * width, slot_start + (j + 1) * width)
             val = float(np.max(x[i0:i1])) if i1 > i0 else -np.inf
             if val > best_val:
                 best_j, best_val = j, val
@@ -190,28 +180,22 @@ def iterative_toa(
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
 
 
-def sampling_toa(
-    filtered: SignalTrace, f_s: float, times: np.ndarray | None = None
-) -> float:
+def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
     """Nyquist-style baseline: sample the low-pass detector output
     (`lpf_approximation` of the received trace) at rate f_s (phase anchored
-    at t = 0) and return the time of the largest sample.
-
-    `times`, if given, must be `filtered.times()`: every rate sampling the
-    same output then shares one time axis.
-    """
+    at t = 0) and return the time of the largest sample. Each sample
+    interpolates linearly between the two grid points around its instant."""
     grid_rate = 1.0 / filtered.step
     if f_s > grid_rate * (1.0 + 1e-12):
         raise ConfigurationError(
             f"sampling rate {f_s:.3e} Hz exceeds the internal grid rate {grid_rate:.3e} Hz"
         )
-    if times is None:
-        times = filtered.times()
-    elif times.shape != filtered.samples.shape:
-        raise ConfigurationError("time axis does not match the filtered trace")
     first = int(np.ceil(filtered.start_time * f_s - 1e-9))
     t_samples = np.arange(first, int(np.floor(filtered.end_time * f_s + 1e-9)) + 1) / f_s
-    values = np.interp(t_samples, times, filtered.samples)
+    v = filtered.samples
+    pos = (t_samples - filtered.start_time) / filtered.step
+    j = np.minimum(pos.astype(np.int64), v.size - 2)
+    values = v[j] + (pos - j) * (v[j + 1] - v[j])
     return float(t_samples[int(np.argmax(values))])
 
 

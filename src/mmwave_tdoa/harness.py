@@ -26,6 +26,7 @@ from .channel import (
     AbsorptionTable,
     ChannelSpec,
     PathCache,
+    _noise_kernel_spectrum,
     _require_band_covered,
     ingest_absorption,
     noise_variance,
@@ -297,6 +298,12 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     x, y = cfg.toa_position
     if not (0.0 <= x <= cfg.layout_size and 0.0 <= y <= cfg.layout_size):
         raise ConfigurationError("toa_position must lie inside the deployment area")
+    layout = BsLayout.corner(cfg.layout_size)
+    if not _clears_receivers(layout.positions(), x, y, cfg.guard_radius):
+        raise ConfigurationError(
+            f"toa_position must lie farther than guard_radius = {cfg.guard_radius} "
+            "from every receiver"
+        )
 
     positions = _draw_positions(cfg)
     ctma_offset, lpf_offset = _estimator_offsets(tx, t_p)
@@ -305,7 +312,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         table=table,
         tx=tx,
         t_p=t_p,
-        layout=BsLayout.corner(cfg.layout_size),
+        layout=layout,
         banks=banks,
         sampling_rates=rates,
         positions=positions,
@@ -341,9 +348,14 @@ def _draw_positions(cfg: ExperimentConfig) -> tuple[tuple[float, float], ...]:
     out = []
     while len(out) < cfg.n_positions:
         x, y = rng.uniform(0.0, cfg.layout_size, size=2)
-        if np.all(np.hypot(anchors[:, 0] - x, anchors[:, 1] - y) > cfg.guard_radius):
+        if _clears_receivers(anchors, x, y, cfg.guard_radius):
             out.append((float(x), float(y)))
     return tuple(out)
+
+
+def _clears_receivers(anchors: np.ndarray, x, y, guard_radius: float) -> bool:
+    """Whether (x, y) lies outside the guard ring around every receiver."""
+    return bool(np.all(np.hypot(anchors[:, 0] - x, anchors[:, 1] - y) > guard_radius))
 
 
 def _estimator_offsets(tx: SignalTrace, t_p: float) -> tuple[float, float]:
@@ -375,17 +387,18 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     position, where toas[b] lists receiver b's TOA for every bank and then
     every sampling rate (see `_trace_toas`).
 
-    The pulse spectrum and the noise band-pass are computed once here, each
-    path's clean waveform once per position (in its first run's `propagate`
-    call). Each trace lives only inside its own `_trace_toas` call, so one
-    received trace is in memory at a time."""
+    The pulse spectrum is computed once here, in the `PathCache` that every
+    trace shares, and each path's clean waveform once per position (in its
+    first run's `propagate` call). The noise band-pass is memoized in
+    `channel` and built here too. Each trace lives only inside its own
+    `_trace_toas` call, so one received trace is in memory at a time."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     if cfg.noise:
         # Built before any trace exists, so its temporaries add nothing to the peak.
-        cache.noise_kernel(cfg.band)
+        _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
     for p_idx, (x, y) in enumerate(positions):
         cache.forget_paths()
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
@@ -416,13 +429,7 @@ def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> lis
     with its own seed, write it under dump_dir if given, and return its TOA
     for every bank and then every sampling rate."""
     trace = propagate(
-        prep.tx,
-        spec,
-        prep.table,
-        seed=_trace_seed(prep.config.seed, *index),
-        window=prep.config.t_ob,
-        noise_power=noise_power,
-        cache=cache,
+        cache, spec, seed=_trace_seed(prep.config.seed, *index), noise_power=noise_power
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -437,20 +444,19 @@ def _bank_toas(prep, trace, timings) -> list[float]:
         return []
     energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
     return [
-        _timed(timings, ("ctma", bank.alpha, None), iterative_toa, trace, bank, energy=energy).tau
+        _timed(timings, ("ctma", bank.alpha, None), iterative_toa, energy, bank).tau
         for bank in prep.banks
     ]
 
 
 def _rate_toas(prep, trace, timings) -> list[float]:
     """The trace's TOA at every sampling rate; every rate samples the same
-    LPF output on the same time axis."""
+    LPF output."""
     if not prep.sampling_rates:
         return []
     filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
-    times = _timed(timings, "sampling", filtered.times)
     return [
-        _timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s, times=times)
+        _timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s)
         for f_s in prep.sampling_rates
     ]
 
@@ -461,8 +467,7 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
     time spent estimating and localizing for it, and each estimator family
     ("ctma", "sampling") to the time of the per-trace stage its points share
-    (the windowed energy; the LPF filtering and its time axis); propagation
-    is excluded.
+    (the windowed energy; the LPF filtering); propagation is excluded.
     """
     prep = prepare(cfg)
     # (key, offset) per sweep point, in the order of each receiver's TOA
@@ -497,12 +502,7 @@ def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialR
         tau1=taus[0], tau2=taus[1], tau3=taus[2], common_offset_correction=offset
     )
     ranges = tdoa_ranges(triplet)
-    est_x, est_y = solve_position(
-        prep.layout,
-        ranges,
-        r1_mode=cfg.r1_mode,
-        area=(cfg.layout_size, cfg.layout_size),
-    )
+    est_x, est_y = solve_position(prep.layout, ranges, r1_mode=cfg.r1_mode)
     return TrialResult(
         estimator=estimator,
         alpha=alpha,

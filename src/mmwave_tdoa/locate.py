@@ -76,14 +76,12 @@ def solve_position(
     layout: BsLayout,
     ranges: tuple[float, float, float],
     r1_mode: str = "known-clock",
-    area: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Position estimate from (R21, R31, R1).
 
     known-clock uses R1 as measured (transmitter and receivers share a
     clock). quadratic discards R1, substitutes R1^2 = x^2 + y^2 and picks
-    the root that lands inside `area` (x and y bounds, defaulting to the
-    receiver bounding box).
+    the root that lands inside the receiver bounding box.
     """
     r21, r31, r1 = ranges
     h = layout.matrix()
@@ -99,13 +97,13 @@ def solve_position(
         if r1_mode == "quadratic":
             u = np.linalg.solve(h, c)
             w = np.linalg.solve(h, d)
-            return _pick_quadratic_root(layout, u, w, area)
+            return _pick_quadratic_root(layout, u, w)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(f"geometry matrix is singular: {exc}") from exc
     raise ConfigurationError(f"unknown r1 mode {r1_mode!r}")
 
 
-def _pick_quadratic_root(layout, u, w, area):
+def _pick_quadratic_root(layout, u, w):
     # |r1 u + w|^2 = r1^2  ->  (|u|^2 - 1) r1^2 + 2 u.w r1 + |w|^2 = 0
     a = float(np.dot(u, u)) - 1.0
     b = 2.0 * float(np.dot(u, w))
@@ -122,9 +120,8 @@ def _pick_quadratic_root(layout, u, w, area):
     if not roots:
         raise ConfigurationError("no non-negative reference range satisfies the geometry")
 
-    if area is None:
-        coords = layout.positions()
-        area = (float(np.max(np.abs(coords[:, 0]))), float(np.max(np.abs(coords[:, 1]))))
+    coords = layout.positions()
+    area = (float(np.max(np.abs(coords[:, 0]))), float(np.max(np.abs(coords[:, 1]))))
     candidates = [(r, r * u + w) for r in roots]
     inside = [
         (r, xy)

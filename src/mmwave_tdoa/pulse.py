@@ -96,9 +96,7 @@ def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:
     t_p = effective_duration(unit, spec.energy_fraction_for_duration)
     # Average power over T_p equals spec.power: total energy = power * T_p.
     amplitude = math.sqrt(spec.power * t_p / unit.energy())
-    return SignalTrace(
-        start_time=-n_half * step, step=step, samples=amplitude * shape, units="V"
-    )
+    return SignalTrace(start_time=-n_half * step, step=step, samples=amplitude * shape)
 
 
 def effective_duration(trace: SignalTrace, fraction: float) -> float:

@@ -15,17 +15,11 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class SignalTrace:
-    """Uniformly sampled real signal: value k lives at start_time + k*step.
-
-    units records what the samples mean for the producer ("V" for
-    waveforms, "V^2*s" for windowed-energy outputs); it is carried along
-    but never interpreted.
-    """
+    """Uniformly sampled real signal: value k lives at start_time + k*step."""
 
     start_time: float
     step: float
     samples: np.ndarray
-    units: str = "V"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

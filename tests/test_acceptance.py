@@ -25,7 +25,8 @@ from mmwave_tdoa import (
     tdoa_ranges,
     transmit_psd,
 )
-from mmwave_tdoa.channel import noise_background_psd, noise_self_psd
+from mmwave_tdoa.channel import PathCache, noise_background_psd, noise_self_psd
+from mmwave_tdoa.detector import _windowed_energy
 from mmwave_tdoa.cli import main
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
@@ -71,10 +72,11 @@ def test_01_quantization_contract(tp2):
     for t0 in arrivals:
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         t_star = windowed_energy_argmax(v, tp2)
+        energy = _windowed_energy(v, tp2)
         for m, q in configs:
             cfg = DetectorBankConfig(branches=m, stages=q, t_ob=T_OB, t_p=tp2)
             delta = cfg.resolution
-            tau = iterative_toa(v, cfg).tau
+            tau = iterative_toa(energy, cfg).tau
             # floor in exact arithmetic: when the grid-point argmax coincides
             # with a cell edge it belongs to the upper half-open cell, which
             # float division can miss by one ulp. The nudge is far above the
@@ -91,7 +93,9 @@ def test_02_two_pass_walkthrough():
     tx = generate_pulse(PulseSpec(order=10, center_frequency=200e9, power=1e-6))
     tp10 = effective_duration(tx, 0.9999)
     v = place_with_energy_peak(10, 7.5685e-9, tp10, STEP, N_OB)
-    est = iterative_toa(v, DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10))
+    est = iterative_toa(
+        _windowed_energy(v, tp10), DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10)
+    )
     assert est.taus[0] == pytest.approx(7.0e-9, abs=1e-15)
     assert est.taus[1] == pytest.approx(7.5e-9, abs=1e-15)
     report(2, f"peak at 7.5685 ns refined as {est.taus[0]:.1e} then {est.taus[1]:.2e} s")
@@ -167,7 +171,7 @@ def test_07_noise_model(pulse2):
     assert value == pytest.approx(simpson, rel=0.01)
 
     silent = SignalTrace(pulse2.start_time, pulse2.step, np.zeros(8))
-    rx = propagate(silent, spec, table, seed=123, window=55e-9, noise_power=value)
+    rx = propagate(PathCache(silent, table, window=55e-9), spec, seed=123, noise_power=value)
     assert len(rx) >= 1_000_000
     empirical = float(np.var(rx.samples))
     assert empirical == pytest.approx(value, rel=0.05)
@@ -181,7 +185,8 @@ def test_07_noise_model(pulse2):
 def test_08_channel_delay(pulse2, lossless_table):
     r = C0 * 5e-9
     spec = ChannelSpec(distance=r, center_frequency=200e9, band=(100e9, 300e9))
-    rx = propagate(pulse2, spec, lossless_table, seed=1, window=10e-9, noise_power=0.0)
+    cache = PathCache(pulse2, lossless_table, window=10e-9)
+    rx = propagate(cache, spec, seed=1, noise_power=0.0)
     corr = np.correlate(rx.samples, pulse2.samples, mode="full")
     lag = (np.argmax(corr) - (len(pulse2) - 1)) * rx.step + (rx.start_time - pulse2.start_time)
     assert abs(lag - 5e-9) <= rx.step

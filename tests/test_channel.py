@@ -19,6 +19,7 @@ from mmwave_tdoa import (
 from mmwave_tdoa.channel import (
     PathCache,
     _band_limited_noise,
+    _fast_length,
     _noise_kernel_spectrum,
     noise_background_psd,
     noise_self_psd,
@@ -129,7 +130,7 @@ def test_propagated_energy_matches_the_closed_form_response(request, pulse2, tab
     """|H(f, R)|^2 = (c0 / (4 pi R f_c))^2 exp(-k R) is flat in f for a
     constant k, so by Parseval it is the received-to-pulse energy ratio."""
     table = request.getfixturevalue(table_name)
-    rx = propagate(pulse2, spec_at(r), table, seed=0, window=10e-9, noise_power=0.0)
+    rx = propagate(PathCache(pulse2, table, window=10e-9), spec_at(r), seed=0, noise_power=0.0)
     spreading = C0 / (4.0 * np.pi * r * 200e9)
     expected = spreading**2 * np.exp(-k * r)
     assert rx.energy() / pulse2.energy() == pytest.approx(expected, rel=1e-12)
@@ -191,8 +192,8 @@ def test_transmit_psd_normalization(pulse2):
 
 
 def test_propagation_delay_by_cross_correlation(pulse2, lossless_table):
-    r = C0 * 5e-9
-    rx = propagate(pulse2, spec_at(r), lossless_table, seed=1, window=10e-9, noise_power=0.0)
+    cache = PathCache(pulse2, lossless_table, window=10e-9)
+    rx = propagate(cache, spec_at(C0 * 5e-9), seed=1, noise_power=0.0)
     corr = np.correlate(rx.samples, pulse2.samples, mode="full")
     lag = (np.argmax(corr) - (len(pulse2) - 1)) * rx.step + (rx.start_time - pulse2.start_time)
     assert abs(lag - 5e-9) <= rx.step
@@ -204,31 +205,31 @@ def test_propagation_energy_centroid_shift(pulse2, lossless_table):
         return float(np.sum(trace.times() * e) / np.sum(e))
 
     r = 0.87
-    rx = propagate(pulse2, spec_at(r), lossless_table, seed=1, window=10e-9, noise_power=0.0)
+    cache = PathCache(pulse2, lossless_table, window=10e-9)
+    rx = propagate(cache, spec_at(r), seed=1, noise_power=0.0)
     assert abs((centroid(rx) - centroid(pulse2)) - r / C0) <= rx.step
 
 
 def test_propagation_attenuates_monotonically(pulse2, flat_table):
+    cache = PathCache(pulse2, flat_table, window=10e-9)
     energies = [
-        propagate(pulse2, spec_at(r), flat_table, seed=0, window=10e-9, noise_power=0.0).energy()
+        propagate(cache, spec_at(r), seed=0, noise_power=0.0).energy()
         for r in (0.5, 1.0, 2.0, 2.8)
     ]
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
 
 def test_propagation_deterministic_given_seed(pulse2, flat_table):
-    a = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9, noise_power=1e-16)
-    b = propagate(pulse2, spec_at(2.0), flat_table, seed=99, window=10e-9, noise_power=1e-16)
+    a = propagate(PathCache(pulse2, flat_table, window=10e-9), spec_at(2.0), 99, 1e-16)
+    b = propagate(PathCache(pulse2, flat_table, window=10e-9), spec_at(2.0), 99, 1e-16)
     assert np.array_equal(a.samples, b.samples)
-    c = propagate(pulse2, spec_at(2.0), flat_table, seed=100, window=10e-9, noise_power=1e-16)
+    c = propagate(PathCache(pulse2, flat_table, window=10e-9), spec_at(2.0), 100, 1e-16)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_propagation_window_overflow_names_requirement(pulse2, lossless_table):
     with pytest.raises(ConfigurationError, match="at least"):
-        propagate(
-            pulse2, spec_at(C0 * 9e-9), lossless_table, seed=0, window=5e-9, noise_power=0.0
-        )
+        propagate(PathCache(pulse2, lossless_table, window=5e-9), spec_at(C0 * 9e-9), 0, 0.0)
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):
@@ -236,7 +237,7 @@ def test_noise_only_run_matches_variance(pulse2, flat_table):
     psd = transmit_psd(pulse2, BAND, 1e-6)
     target = noise_variance(spec, flat_table, psd)
     silent = SignalTrace(pulse2.start_time, pulse2.step, np.zeros(8))
-    rx = propagate(silent, spec, flat_table, seed=123, window=55e-9, noise_power=target)
+    rx = propagate(PathCache(silent, flat_table, window=55e-9), spec, seed=123, noise_power=target)
     assert len(rx) >= 1_000_000
     assert np.var(rx.samples) == pytest.approx(target, rel=0.05)
 
@@ -244,7 +245,7 @@ def test_noise_only_run_matches_variance(pulse2, flat_table):
 def test_noise_is_white_within_band(pulse2, flat_table):
     spec = spec_at(2.0)
     silent = SignalTrace(pulse2.start_time, pulse2.step, np.zeros(8))
-    rx = propagate(silent, spec, flat_table, seed=5, window=55e-9, noise_power=1e-16)
+    rx = propagate(PathCache(silent, flat_table, window=55e-9), spec, seed=5, noise_power=1e-16)
     n = rx.samples - np.mean(rx.samples)
     nfft = 1 << int(np.ceil(np.log2(2 * n.size)))
     ac = np.fft.irfft(np.abs(np.fft.rfft(n, nfft)) ** 2, nfft)[: n.size]
@@ -269,8 +270,7 @@ def _direct_band_limited_noise(rng, n, step, band, power):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
     step = 5e-14
-    kernel = _noise_kernel_spectrum(n, step, BAND)
-    fast = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12, kernel)
+    fast = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
     direct = _direct_band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
     rms = np.sqrt(np.mean(direct * direct))
     assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
@@ -286,11 +286,11 @@ def _largest_prime_factor(n: int) -> int:
 
 
 def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, monkeypatch):
-    """Once the cache holds the noise band-pass, every transform of a noisy
+    """Once the noise band-pass is memoized, every transform of a noisy
     trace has a length without a prime factor above 7 (the 200,001-point
     trace itself is 3 * 163 * 409)."""
     cache = PathCache(pulse2, flat_table, window=10e-9)
-    cache.noise_kernel(BAND)
+    _noise_kernel_spectrum(cache.n_out, pulse2.step, BAND)
     lengths = []
 
     def spying(real):
@@ -304,20 +304,21 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
     for seed in (1, 2):
-        rx = propagate(
-            pulse2, spec_at(1.0), flat_table, seed=seed, window=10e-9, noise_power=1e-16,
-            cache=cache,
-        )
+        rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
     # The clean waveform's irfft, then the noise's rfft and irfft per trace.
     assert len(lengths) == 5
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 
-def test_noise_band_pass_is_cached_by_value_and_read_only(pulse2, flat_table):
-    cache = PathCache(pulse2, flat_table, window=10e-9)
-    kernel = cache.noise_kernel((100e9, 300e9))
-    assert cache.noise_kernel(tuple([1e11, 3e11])) is kernel
+def test_noise_band_pass_is_cached_by_value_and_read_only():
+    n, step = 200_001, 5e-14
+    length, kernel = _noise_kernel_spectrum(n, step, (100e9, 300e9))
+    hits = _noise_kernel_spectrum.cache_info().hits
+    assert _noise_kernel_spectrum(n, step, tuple([1e11, 3e11]))[1] is kernel
+    assert _noise_kernel_spectrum.cache_info().hits == hits + 1
+    assert length == _fast_length(2 * n - 1) == 405_000
+    assert kernel.size == length // 2 + 1
     assert not kernel.flags.writeable
     with pytest.raises(ValueError):
         kernel[0] = 0.0

@@ -47,6 +47,7 @@ def test_validate_config_rejects_bad_file(tmp_path, capsys):
         ({"mq_pairs": [[2, 11], [4, 5]]}, "mq_pairs"),  # both alpha = 4096
         ({"sampling_rates": [600e9, 300e9, 600e9]}, "sampling_rates"),
         ({"toa_position": [5.0, 5.0]}, "toa_position"),
+        ({"toa_position": [0, 0]}, "toa_position"),  # on a receiver
     ],
 )
 def test_validate_config_rejects_colliding_or_outside_points(tmp_path, capsys, override, field):

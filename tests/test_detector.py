@@ -1,17 +1,26 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mmwave_tdoa import (
+    ChannelSpec,
     ConfigurationError,
     DetectorBankConfig,
+    ExperimentConfig,
     SignalTrace,
     ctma_output,
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
+    noise_variance,
+    propagate,
     sampling_toa,
+    transmit_psd,
 )
-from mmwave_tdoa.channel import _fast_length
+from mmwave_tdoa.channel import PathCache, _fast_length
+from mmwave_tdoa.detector import _windowed_energy
+from mmwave_tdoa.harness import prepare
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
 
@@ -104,7 +113,9 @@ def test_two_pass_walkthrough_600ghz_pulse():
     tx = generate_pulse(PulseSpec(order=10, center_frequency=200e9, power=1e-6))
     tp10 = effective_duration(tx, 0.9999)
     v = place_with_energy_peak(10, 7.5685e-9, tp10, STEP, N_OB)
-    est = iterative_toa(v, DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10))
+    est = iterative_toa(
+        _windowed_energy(v, tp10), DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10)
+    )
     assert est.taus[0] == pytest.approx(7.0e-9, abs=1e-15)
     assert est.taus[1] == pytest.approx(7.5e-9, abs=1e-15)
     assert est.selected[0] == 3
@@ -115,7 +126,7 @@ def test_peak_at_window_start_selects_every_last_branch(tp2):
     v = SignalTrace(0.0, STEP, np.zeros(N_OB))
     v.samples[0] = 1.0
     cfg = bank(4, 3, tp2)
-    est = iterative_toa(v, cfg)
+    est = iterative_toa(_windowed_energy(v, tp2), cfg)
     assert est.selected == (4, 4, 4, 4)
     assert est.tau == 0.0
 
@@ -129,7 +140,7 @@ def test_quantization_contract_random_arrivals(m, q, tp2):
         t0 = rng.uniform(0.5e-9, 9.5e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         t_star = windowed_energy_argmax(v, tp2)
-        est = iterative_toa(v, cfg)
+        est = iterative_toa(_windowed_energy(v, tp2), cfg)
         # tiny nudge: an argmax exactly on a cell edge belongs to the upper
         # half-open cell, which bare float division can miss by one ulp; the
         # nudge must stay below the smallest true grid-to-edge gap (step/64
@@ -140,7 +151,7 @@ def test_quantization_contract_random_arrivals(m, q, tp2):
 def test_reconstruction_identity(tp2):
     v = place_pulse(2, 200e9, 6.1234e-9, STEP, N_OB)
     cfg = bank(3, 4, tp2)
-    est = iterative_toa(v, cfg)
+    est = iterative_toa(_windowed_energy(v, tp2), cfg)
     rebuilt = sum(
         (cfg.branches - m_hat) * cfg.t_ob / cfg.branches**q
         for q, m_hat in enumerate(est.selected, start=1)
@@ -151,7 +162,7 @@ def test_reconstruction_identity(tp2):
 def test_refinement_is_nested(tp2):
     v = place_pulse(2, 200e9, 4.777e-9, STEP, N_OB)
     cfg = bank(5, 3, tp2)
-    est = iterative_toa(v, cfg)
+    est = iterative_toa(_windowed_energy(v, tp2), cfg)
     for q in range(1, len(est.taus)):
         width_prev = cfg.t_ob / cfg.branches**q
         assert est.taus[q] >= est.taus[q - 1] - 1e-18
@@ -168,7 +179,7 @@ def test_accuracy_bound_tightens_with_extra_stage(tp2):
         for t0 in arrivals:
             v = place_pulse(2, 200e9, t0, STEP, N_OB)
             t_star = windowed_energy_argmax(v, tp2)
-            errs.append(abs(iterative_toa(v, cfg).tau - t_star))
+            errs.append(abs(iterative_toa(_windowed_energy(v, tp2), cfg).tau - t_star))
         worst[q] = max(errs)
         assert worst[q] <= cfg.resolution
     assert worst[9] <= worst[8]
@@ -178,7 +189,7 @@ def test_resolvability_guard(tp2):
     v = SignalTrace(0.0, STEP, np.zeros(N_OB))
     v.samples[1000] = 1.0
     with pytest.raises(ConfigurationError, match="resolution"):
-        iterative_toa(v, bank(10, 5, tp2))  # 10 ns / 1e6 = 1e-14 < 4 steps
+        iterative_toa(_windowed_energy(v, tp2), bank(10, 5, tp2))  # 1e-14 s < 4 steps
 
 
 def test_tie_breaks_toward_earlier_interval(tp2):
@@ -188,7 +199,7 @@ def test_tie_breaks_toward_earlier_interval(tp2):
     v.samples[i1 : i1 + 100] = 1.0
     v.samples[i2 : i2 + 100] = 1.0
     cfg = bank(5, 0, tp2)
-    est = iterative_toa(v, cfg)
+    est = iterative_toa(_windowed_energy(v, tp2), cfg)
     assert est.tau == pytest.approx(2e-9, abs=1e-15)  # slot [2, 4) ns, not [6, 8)
 
 
@@ -232,13 +243,34 @@ def test_sampling_rejects_super_grid_rate(tp2):
         sampling_toa(lpf_approximation(v, tp2), 2.0 / STEP)
 
 
-def test_shared_time_axis_gives_the_same_estimate_at_every_rate(tp2):
-    out = lpf_approximation(place_pulse(2, 200e9, 4.321e-9, STEP, N_OB), tp2)
-    times = out.times()
-    for f_s in (300e9, 600e9, 1000e9, 2000e9, 3000e9):
-        assert sampling_toa(out, f_s, times=times) == sampling_toa(out, f_s)
-    with pytest.raises(ConfigurationError, match="time axis"):
-        sampling_toa(out, 600e9, times=times[:-1])
+def _interp_sampling_toa(filtered: SignalTrace, f_s: float) -> float:
+    """Reference sampler: np.interp over the trace's full time axis."""
+    first = int(np.ceil(filtered.start_time * f_s - 1e-9))
+    t_samples = np.arange(first, int(np.floor(filtered.end_time * f_s + 1e-9)) + 1) / f_s
+    values = np.interp(t_samples, filtered.times(), filtered.samples)
+    return float(t_samples[int(np.argmax(values))])
+
+
+@pytest.fixture(scope="module")
+def desk_lpf_outputs():
+    """LPF outputs of noisy received traces of the desk config (one path,
+    three noise seeds)."""
+    cfg = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
+    prep = prepare(cfg)
+    spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
+    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
+    power = noise_variance(spec, prep.table, psd)
+    cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
+    return [
+        lpf_approximation(propagate(cache, spec, seed=seed, noise_power=power), prep.t_p)
+        for seed in (0, 1, 2)
+    ]
+
+
+@pytest.mark.parametrize("f_s", [300e9, 600e9, 1000e9, 1.0 / STEP])  # desk rates, grid rate
+def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_lpf_outputs, f_s):
+    for filtered in desk_lpf_outputs:
+        assert sampling_toa(filtered, f_s) == _interp_sampling_toa(filtered, f_s)
 
 
 def test_matched_resolution_agreement(tp2):
@@ -250,7 +282,7 @@ def test_matched_resolution_agreement(tp2):
     for _ in range(8):
         t0 = rng.uniform(1e-9, 9e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
-        tau_bank = iterative_toa(v, cfg).tau
+        tau_bank = iterative_toa(_windowed_energy(v, tp2), cfg).tau
         tau_sample = sampling_toa(lpf_approximation(v, tp2), 1.0 / delta)
         assert abs(tau_bank - tau_sample) <= delta * (1.0 + 1e-9)
 
@@ -284,21 +316,7 @@ def test_bank_config_validation():
         DetectorBankConfig(branches=10, stages=70, t_ob=10e-9, t_p=1e-11)
 
 
-# ------------------------------------------------------ shared per-trace stages
-
-
-def test_shared_energy_gives_the_same_estimate_for_every_desk_bank(pulse2, tp2, flat_table):
-    from mmwave_tdoa.channel import ChannelSpec, propagate
-    from mmwave_tdoa.detector import _windowed_energy
-
-    spec = ChannelSpec(distance=1.3, center_frequency=200e9, band=(100e9, 300e9))
-    v = propagate(pulse2, spec, flat_table, seed=7, window=T_OB, noise_power=1e-12)
-    energy = _windowed_energy(v, tp2)
-    for m, q in ((12, 2), (2, 11), (10, 3)):  # configs/desk_sweep.json
-        cfg = bank(m, q, tp2)
-        assert iterative_toa(v, cfg, energy=energy) == iterative_toa(v, cfg)
-    with pytest.raises(ConfigurationError, match="grid"):
-        iterative_toa(v, bank(10, 2, tp2), energy=energy[:-1])
+# ------------------------------------------------------------ LPF kernel
 
 
 def test_lpf_with_cached_kernel_matches_an_uncached_kernel(tp2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mmwave_tdoa import C0, ConfigurationError, ExperimentConfig, aede, run_experiment
 from mmwave_tdoa import channel, harness
-from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, propagate, transmit_psd
+from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, transmit_psd
 from mmwave_tdoa.harness import (
     TrialResult,
     _trace_seed,
@@ -287,8 +287,8 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     real = harness.propagate
     seen = []
 
-    def spy(pulse, spec, table, seed, window, noise_power, cache):
-        trace = real(pulse, spec, table, seed, window, noise_power, cache)
+    def spy(cache, spec, seed, noise_power):
+        trace = real(cache, spec, seed, noise_power)
         _, p_idx, r_idx, b = seed.entropy
         x, y = prep.positions[p_idx]
         path = ChannelSpec(
@@ -298,8 +298,10 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
             temperature=cfg.temperature,
         )
         fresh = real(
-            prep.tx, path, prep.table, seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
-            window=cfg.t_ob, noise_power=noise_variance(path, prep.table, psd),
+            PathCache(prep.tx, prep.table, window=cfg.t_ob),
+            path,
+            seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
+            noise_power=noise_variance(path, prep.table, psd),
         )
         assert np.array_equal(trace.samples, fresh.samples)
         seen.append((p_idx, r_idx, b))
@@ -311,24 +313,25 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
 
 
 def test_noise_band_pass_is_built_once_per_experiment(monkeypatch):
-    built = []
-    real = channel._noise_kernel_spectrum
+    """Built before the first trace propagates (so its temporaries add
+    nothing to the peak), then looked up by every noisy trace."""
+    kernels = channel._noise_kernel_spectrum
+    real = harness.propagate
+    misses_at_first_trace = []
 
-    def spy(*args):
-        built.append(real(*args))
-        return built[-1]
+    def spy(*args, **kwargs):
+        if not misses_at_first_trace:
+            misses_at_first_trace.append(kernels.cache_info().misses)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(channel, "_noise_kernel_spectrum", spy)
-    run_experiment(ExperimentConfig(**{**TINY, "sampling_rates": ()}))
-    assert len(built) == 1
-    assert not built[0].flags.writeable
-
-
-def test_path_cache_rejects_a_mismatched_call(pulse2, flat_table):
-    spec = ChannelSpec(distance=1.0, center_frequency=200e9, band=(100e9, 300e9))
-    cache = PathCache(pulse2, flat_table, window=10e-9)
-    with pytest.raises(ConfigurationError, match="another pulse"):
-        propagate(pulse2, spec, flat_table, seed=0, window=5e-9, noise_power=0.0, cache=cache)
+    monkeypatch.setattr(harness, "propagate", spy)
+    cfg = ExperimentConfig(**{**TINY, "sampling_rates": ()})
+    kernels.cache_clear()
+    run_experiment(cfg)
+    info = kernels.cache_info()
+    assert misses_at_first_trace == [1]
+    assert info.misses == 1
+    assert info.hits == 3 * cfg.n_positions * cfg.n_runs
 
 
 @pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])

@@ -131,7 +131,7 @@ def test_sensitivity_to_toa_perturbations():
 def test_quadratic_mode_recovers_without_r1():
     toas = exact_toas(0.8, 1.1)
     r21, r31, _ = tdoa_ranges(toas)
-    x, y = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic", area=(2.0, 2.0))
+    x, y = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic")
     assert np.hypot(x - 0.8, y - 1.1) < 1e-8
 
 
@@ -140,7 +140,7 @@ def test_quadratic_mode_many_positions():
     for _ in range(25):
         x, y = rng.uniform(0.1, 1.9, size=2)
         r21, r31, _ = tdoa_ranges(exact_toas(x, y))
-        ex, ey = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic", area=(2.0, 2.0))
+        ex, ey = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic")
         assert np.hypot(ex - x, ey - y) < 1e-7
 
 
