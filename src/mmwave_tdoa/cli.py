@@ -25,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     prepare,
     run_experiment,
+    stage_seconds,
     toa_sweep,
     trial_rows,
     write_rows_csv,
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
                     for row in rows
                 ]
                 write_rows_csv(rows, out / "sweep.csv")
-            _write_meta(out, time.perf_counter() - started)
+            _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
             for row in rows:
                 print(_format_row(row))
         return 0
@@ -130,10 +131,10 @@ def main(argv=None) -> int:
         return 3
 
 
-def _write_meta(out: Path, wall_time: float) -> None:
-    # Wall time lives outside summary.json so identical runs stay byte-identical.
+def _write_meta(out: Path, wall_time: float, stage_s: dict) -> None:
+    # Times live outside summary.json so identical runs stay byte-identical.
     with open(out / "run_meta.json", "w") as handle:
-        json.dump({"wall_time_s": wall_time}, handle, indent=2)
+        json.dump({"wall_time_s": wall_time, "stage_s": stage_s}, handle, indent=2)
         handle.write("\n")
 
 

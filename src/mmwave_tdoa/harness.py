@@ -28,6 +28,7 @@ from .channel import (
     PathCache,
     _noise_kernel_spectrum,
     _require_band_covered,
+    _workspace,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -391,14 +392,17 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     trace shares, and each path's clean waveform once per position (in its
     first run's `propagate` call). The noise band-pass is memoized in
     `channel` and built here too. Each trace lives only inside its own
-    `_trace_toas` call, so one received trace is in memory at a time."""
+    `_trace_toas` call, so one received trace is in memory at a time. The
+    cache and the noise band-pass size the channel workspace before the
+    first trace, so every per-trace transform reuses the same work arrays."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     if cfg.noise:
         # Built before any trace exists, so its temporaries add nothing to the peak.
-        _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
+        length, kernel = _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
+        _workspace(length, kernel.size)
     for p_idx, (x, y) in enumerate(positions):
         cache.forget_paths()
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
@@ -428,8 +432,9 @@ def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> lis
     """Propagate the received trace of one (position, run, receiver) index
     with its own seed, write it under dump_dir if given, and return its TOA
     for every bank and then every sampling rate."""
-    trace = propagate(
-        cache, spec, seed=_trace_seed(prep.config.seed, *index), noise_power=noise_power
+    seed = _trace_seed(prep.config.seed, *index)
+    trace = _timed(
+        timings, "propagate", propagate, cache, spec, seed=seed, noise_power=noise_power
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -465,9 +470,10 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     """Run the full Monte Carlo and return (trials, summary, timings).
 
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
-    time spent estimating and localizing for it, and each estimator family
+    time spent estimating and localizing for it, each estimator family
     ("ctma", "sampling") to the time of the per-trace stage its points share
-    (the windowed energy; the LPF filtering); propagation is excluded.
+    (the windowed energy; the LPF filtering), and "propagate" to the time of
+    every `propagate` call, noise included (see `stage_seconds`).
     """
     prep = prepare(cfg)
     # (key, offset) per sweep point, in the order of each receiver's TOA
@@ -482,6 +488,16 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
             trials.append(_timed(timings, key, _localize, prep, taus, offset, *key, p_idx, r_idx))
     summary = {"config": dataclasses.asdict(cfg), "results": summarize(trials)}
     return trials, summary, dict(timings)
+
+
+def stage_seconds(timings) -> dict:
+    """Seconds per stage of a run, from `run_experiment`'s timings:
+    propagation (noise included), then each estimator family with its
+    shared stage, its sweep points and their position solves."""
+    stages = {"propagate": 0.0, "ctma": 0.0, "sampling": 0.0}
+    for key, seconds in timings.items():
+        stages[key if isinstance(key, str) else key[0]] += seconds
+    return stages
 
 
 def _timed(timings, key, fn, *args, **kwargs):

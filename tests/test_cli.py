@@ -81,7 +81,11 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
     assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "trials.csv").exists()
     assert (out / "summary.json").exists()
-    assert (out / "run_meta.json").exists()
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert set(meta) == {"wall_time_s", "stage_s"}
+    assert set(meta["stage_s"]) == {"propagate", "ctma", "sampling"}
+    assert all(seconds > 0.0 for seconds in meta["stage_s"].values())
+    assert sum(meta["stage_s"].values()) <= meta["wall_time_s"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["seed"] == 11
     assert len(summary["results"]) == 2
