@@ -2,7 +2,7 @@
 """Record a parent-versus-change benchmark comparison as one JSON file.
 
     python3 scripts/bench_record.py --parent DIR --out BENCH_N.json \\
-        [--pairs 5] [--seconds 15] [--seed 7]
+        [--pairs 10] [--seconds 15] [--seed 7] [--repeats 3] [--workload W]
 
 Run from the root of the change's checkout; DIR is a checkout of the
 parent commit (made with `git archive` or `git clone`). For every
@@ -13,7 +13,8 @@ benchmark workload the script
   each run's end-to-end metrics, with their medians and quartiles;
 - runs `bench/run.py --trace 1` once in each checkout for the per-layer
   metrics;
-- keeps the sha256 of every output file of each side;
+- keeps the sha256 of every output file of each side, and names the
+  byte-stable ones;
 - measures `ru_minflt` and `ru_stime` around one in-process `cli.main`
   call of the workload's command, in fresh processes, the median of a few.
 
@@ -113,6 +114,8 @@ def record_workload(name: str, sides: dict, args) -> dict:
         "per_layer": {
             side: {m: v["value"] for m, v in traced[side]["metrics"].items()} for side in sides
         },
+        # Only these outputs are byte-stable; the others hold timings.
+        "stable_outputs": list(workload.stable_outputs),
         "output_sha256": {side: runs[side][0]["provenance"]["output_sha256"] for side in sides},
         "rusage_per_call": {
             side: rusage_per_call(sides[side], workload, args.seed, args.repeats)
@@ -125,16 +128,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3, help="rusage calls per side")
     parser.add_argument("--workload", action="append", choices=sorted(run.WORKLOADS))
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
 
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     record = {
-        "command": "python3 scripts/bench_record.py " + " ".join(argv or sys.argv[1:]),
+        "command": (
+            f"python3 scripts/bench_record.py --parent PARENT --out {args.out} "
+            f"--pairs {args.pairs} --seconds {args.seconds} --seed {args.seed} "
+            f"--repeats {args.repeats}"
+            + "".join(f" --workload {name}" for name in args.workload or ())
+        ),
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
