@@ -2,21 +2,22 @@
 """Record a parent-versus-change benchmark comparison as one JSON file.
 
     python3 scripts/bench_record.py --parent DIR --out BENCH_N.json \\
-        [--pairs 10] [--seconds 15] [--seed 7] [--repeats 3] [--workload W]
+        [--seconds 15] [--seed 7]
 
 Run from the root of the change's checkout; DIR is a checkout of the
 parent commit (made with `git archive` or `git clone`). For every
 benchmark workload the script
 
-- runs `bench/run.py --trace 0` in the two checkouts in alternating pairs
-  (the parent first in even pairs, the change first in odd ones) and keeps
+- runs `bench/run.py --trace 0` in the two checkouts in ten alternating
+  pairs (the parent first in even pairs, the change first in odd ones),
+  the count a claimed gain is judged on, and keeps
   each run's end-to-end metrics, with their medians and quartiles;
 - runs `bench/run.py --trace 1` once in each checkout for the per-layer
   metrics;
 - keeps the sha256 of every output file of each side, and names the
   byte-stable ones;
 - measures `ru_minflt` and `ru_stime` around one in-process `cli.main`
-  call of the workload's command, in fresh processes, the median of a few.
+  call of the workload's command, the median of three fresh processes.
 
 Each checkout runs its own `bench/run.py` and `src/`. Nothing under
 `bench/` is written; `bench/run.py` leaves its runs under `.bench_out/` of
@@ -37,6 +38,9 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.dont_write_bytecode = True  # importing bench/run.py leaves no __pycache__ there
 
 import run  # noqa: E402  (bench/run.py)
+
+PAIRS = 10  # alternating parent/change pairs per workload
+REPEATS = 3  # fresh processes per side for the rusage probe
 
 # Runs one command in-process and prints the rusage deltas around it.
 RUSAGE_PROBE = """
@@ -72,10 +76,10 @@ def bench_run(checkout: str, workload: str, seed: int, seconds: float, trace: in
     return {**provenance, **result}
 
 
-def rusage_per_call(checkout: str, workload, seed: int, repeats: int) -> dict:
+def rusage_per_call(checkout: str, workload, seed: int) -> dict:
     env = run.child_env(checkout)
     calls = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         done = subprocess.run(
             [sys.executable, "-c", RUSAGE_PROBE, workload.command,
              json.dumps(workload.config(seed))],
@@ -95,7 +99,7 @@ def spread(values: list[float]) -> dict:
 
 def record_workload(name: str, sides: dict, args) -> dict:
     runs = {side: [] for side in sides}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for side in order:
             runs[side].append(bench_run(sides[side], name, args.seed, args.seconds, 0))
@@ -118,7 +122,7 @@ def record_workload(name: str, sides: dict, args) -> dict:
         "stable_outputs": list(workload.stable_outputs),
         "output_sha256": {side: runs[side][0]["provenance"]["output_sha256"] for side in sides},
         "rusage_per_call": {
-            side: rusage_per_call(sides[side], workload, args.seed, args.repeats)
+            side: rusage_per_call(sides[side], workload, args.seed)
             for side in sides
         },
     }
@@ -128,22 +132,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3, help="rusage calls per side")
-    parser.add_argument("--workload", action="append", choices=sorted(run.WORKLOADS))
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
 
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     record = {
         "command": (
             f"python3 scripts/bench_record.py --parent PARENT --out {args.out} "
-            f"--pairs {args.pairs} --seconds {args.seconds} --seed {args.seed} "
-            f"--repeats {args.repeats}"
-            + "".join(f" --workload {name}" for name in args.workload or ())
+            f"--seconds {args.seconds} --seed {args.seed}"
         ),
         "machine": {
             "nproc": os.cpu_count(),
@@ -152,8 +149,7 @@ def main(argv=None) -> int:
         },
         "commits": {side: run.git_commit(path) for side, path in sides.items()},
         "workloads": {
-            name: record_workload(name, sides, args)
-            for name in args.workload or sorted(run.WORKLOADS)
+            name: record_workload(name, sides, args) for name in sorted(run.WORKLOADS)
         },
     }
     with open(args.out, "w") as handle:

@@ -262,39 +262,22 @@ def _noise_kernel_spectrum(
     length = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)
     spectrum.flags.writeable = False
+    _keep_heap_pages(length)
     return length, spectrum
 
 
-_WORK = [np.empty(0), np.empty(0, dtype=np.complex128)]
+def _keep_heap_pages(n: int) -> None:
+    """Allocate and free one untouched block of 4 n doubles, so that later
+    arrays of up to about n points reuse heap pages.
 
-
-def _workspace(n_real: int, n_complex: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first n_real points of this process's float64 work buffer and
-    the first n_complex of its complex128 one, each grown to fit.
-
-    The per-trace stages (the noise, the clean path, the windowed energy and
-    the LPF) run their intermediates through these two buffers with numpy
-    `out=`, so a trace maps no fresh transform-sized pages. The buffers only
-    grow, one pair per process; calling this with the sizes an experiment
-    needs, before its first trace, sizes them once. They carry no state:
-    every stage writes the part it reads first. A view never leaves the
-    function that asked for it, and the next stage overwrites it, so the
-    stages are single-threaded by design (separate processes each get their
-    own pair)."""
-    real, complex_ = _WORK
-    if real.size < n_real:
-        real = _WORK[0] = np.empty(n_real)
-        # Allocate and free one untouched block four times that size.
-        # glibc's malloc maps fresh zeroed pages for every block above its
-        # mmap threshold, raises that threshold to the largest mapped block
-        # freed, and gives the heap's free top back above twice it. After
-        # this, pocketfft's per-call scratch (one transform of doubles) and
-        # each trace's fresh arrays reuse heap pages instead of mapping new
-        # ones on every trace.
-        np.empty(4 * n_real)
-    if complex_.size < n_complex:
-        complex_ = _WORK[1] = np.empty(n_complex, dtype=np.complex128)
-    return real[:n_real], complex_[:n_complex]
+    glibc's malloc serves each block above its mmap threshold with freshly
+    mapped zeroed pages and unmaps them on free. It raises that threshold
+    to the largest mapped block freed, and gives the heap's free top back to
+    the kernel only above twice it. After this call each trace's fresh
+    arrays and pocketfft's per-call scratch come from pages the heap keeps,
+    instead of faulting in new ones on every trace. The outputs do not
+    change; other allocators just see one untouched allocation."""
+    np.empty(4 * n)
 
 
 def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], power: float):
@@ -304,14 +287,13 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     `_noise_kernel_spectrum(n, step, band)` as a linear convolution at a
     fast length, folded back onto n points: the same noise as zeroing the
     out-of-band bins of an n-point rfft, to rounding, without a transform
-    at the length n (a slow one when n has large prime factors). The draw
-    and both transforms run in the workspace; the result is a fresh array.
+    at the length n (a slow one when n has large prime factors).
     """
     length, kernel = _noise_kernel_spectrum(n, step, band)
-    real, spectrum = _workspace(length, kernel.size)
-    np.fft.rfft(rng.standard_normal(out=real[:n]), length, out=spectrum)
+    spectrum = np.fft.rfft(rng.standard_normal(n), length)
     spectrum *= kernel
-    shaped = np.fft.irfft(spectrum, length, out=real)
+    shaped = np.fft.irfft(spectrum, length)
+    del spectrum
     # The linear convolution has 2n - 1 points; point k + n wraps onto k.
     shaped[: n - 1] += shaped[n : 2 * n - 1]
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
@@ -324,11 +306,11 @@ class PathCache:
     """The parts of `propagate` that no noise seed changes, for one pulse,
     absorption table and observation window.
 
-    On construction: the pulse spectrum, the bin frequencies and the
-    absorption exponent -0.5 k(f) on the propagation FFT grid, shared by
-    every path, and a workspace large enough for a path's transform. On
-    first use of a path: its clean (noise-free) received waveform, shared by
-    every noise run over that path until `forget_paths`. The caller owns the
+    On construction: the pulse spectrum and the absorption exponent
+    -0.5 k(f) on the propagation FFT grid, shared by every path, and heap
+    pages kept for a path's transform (`_keep_heap_pages`). On first
+    use of a path: its clean (noise-free) received waveform, shared by every
+    noise run over that path until `forget_paths`. The caller owns the
     cache; cached arrays are read-only because every trace may share them.
     """
 
@@ -336,10 +318,9 @@ class PathCache:
         self.pulse, self.table, self.window = pulse, table, window
         self.n_out = int(round(window / pulse.step)) + 1
         self.nfft = _fast_length(self.n_out + pulse.samples.size + 4096)
+        _keep_heap_pages(self.nfft)
         self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
-        self.freqs = np.fft.rfftfreq(self.nfft, pulse.step)
-        self.absorption = -0.5 * table.coefficient(self.freqs)
-        _workspace(self.nfft, 2 * self.spectrum.size)
+        self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
         self._clean: dict[tuple, np.ndarray] = {}
 
     def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
@@ -348,18 +329,12 @@ class PathCache:
         H(f, R) of the module docstring, the one place it is applied."""
         key = (spec, arrival_start)
         if key not in self._clean:
-            bins = self.spectrum.size
-            real, work = _workspace(self.nfft, 2 * bins)
             amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
-            response = np.multiply(self.absorption, spec.distance, out=real[:bins])
-            np.exp(response, out=response)
-            np.multiply(amplitude, response, out=response)
-            shift = np.multiply(-2j * np.pi, self.freqs, out=work[:bins])
-            np.multiply(shift, arrival_start, out=shift)
-            np.exp(shift, out=shift)
-            product = np.multiply(self.spectrum, response, out=work[bins:])
-            np.multiply(product, shift, out=product)
-            received = np.fft.irfft(product, self.nfft, out=real)[: self.n_out].copy()
+            response = amplitude * np.exp(self.absorption * spec.distance)
+            freqs = np.fft.rfftfreq(self.nfft, self.pulse.step)
+            shift = np.exp(-2j * np.pi * freqs * arrival_start)
+            product = self.spectrum * response * shift
+            received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
             received.flags.writeable = False
             self._clean[key] = received
         return self._clean[key]
@@ -401,8 +376,8 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        noise = _band_limited_noise(rng, cache.n_out, pulse.step, spec.band, noise_power)
-        # clean + noise, summed into the fresh noise array.
-        received = np.add(received, noise, out=noise)
+        received = received + _band_limited_noise(
+            rng, cache.n_out, pulse.step, spec.band, noise_power
+        )
 
     return SignalTrace(start_time=0.0, step=pulse.step, samples=received)

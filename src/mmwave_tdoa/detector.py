@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _fast_length, _workspace
+from .channel import _fast_length
 from .errors import ConfigurationError
 from .trace import SignalTrace
 
@@ -78,19 +78,13 @@ class ToaEstimate:
 def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     """The CTMA integrator output: trailing-window energy on the trace grid,
     zero-extended before the record start, x(t_i) = integral of v^2 over
-    [t_i - t_win, t_i]. The running sum lives in the channel workspace; the
-    output is a fresh array."""
+    [t_i - t_win, t_i]."""
     w = int(round(t_win / v.step))
     if w < 1:
         raise ConfigurationError("integration window shorter than one grid step")
-    n = v.samples.size
-    # The running sum of v^2 after w + 1 zeros, built in the workspace.
-    cum, _ = _workspace(n + w + 1, 0)
-    cum[: w + 1] = 0.0
-    np.multiply(v.samples, v.samples, out=cum[w + 1 :])
-    np.cumsum(cum[w + 1 :], out=cum[w + 1 :])
-    energy = np.subtract(cum[w + 1 :], cum[1:-w])
-    energy *= v.step
+    squared = v.samples * v.samples
+    cum = np.concatenate([np.zeros(w + 1), np.cumsum(squared)])
+    energy = (cum[w + 1 :] - cum[1 : -w]) * v.step
     return SignalTrace(start_time=v.start_time, step=v.step, samples=energy)
 
 
@@ -133,18 +127,13 @@ def _lpf_kernel_spectrum(t_p: float, step: float, n: int) -> tuple[int, np.ndarr
 
 def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
     """Second-order low-pass approximation of the energy detector: v^2
-    convolved with h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p. The
-    convolution runs in the channel workspace; the output is a fresh array."""
+    convolved with h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p."""
     if not (t_p > 0.0):
         raise ConfigurationError("pulse duration must be positive")
-    n = v.samples.size
-    nfft, kernel_spectrum = _lpf_kernel_spectrum(t_p, v.step, n)
-    real, spectrum = _workspace(nfft, kernel_spectrum.size)
-    squared = np.multiply(v.samples, v.samples, out=real[:n])
-    np.fft.rfft(squared, nfft, out=spectrum)
-    spectrum *= kernel_spectrum
-    out = np.fft.irfft(spectrum, nfft, out=real)
-    filtered = out[:n] * v.step
+    squared = v.samples * v.samples
+    nfft, kernel_spectrum = _lpf_kernel_spectrum(t_p, v.step, squared.size)
+    out = np.fft.irfft(np.fft.rfft(squared, nfft) * kernel_spectrum, nfft)
+    filtered = out[: squared.size] * v.step
     return SignalTrace(start_time=v.start_time, step=v.step, samples=filtered)
 
 

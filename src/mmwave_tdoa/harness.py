@@ -28,7 +28,6 @@ from .channel import (
     PathCache,
     _noise_kernel_spectrum,
     _require_band_covered,
-    _workspace,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -392,17 +391,14 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     trace shares, and each path's clean waveform once per position (in its
     first run's `propagate` call). The noise band-pass is memoized in
     `channel` and built here too. Each trace lives only inside its own
-    `_trace_toas` call, so one received trace is in memory at a time. The
-    cache and the noise band-pass size the channel workspace before the
-    first trace, so every per-trace transform reuses the same work arrays."""
+    `_trace_toas` call, so one received trace is in memory at a time."""
     cfg = prep.config
     anchors = prep.layout.positions()
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power) if cfg.noise else None
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     if cfg.noise:
         # Built before any trace exists, so its temporaries add nothing to the peak.
-        length, kernel = _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
-        _workspace(length, kernel.size)
+        _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
     for p_idx, (x, y) in enumerate(positions):
         cache.forget_paths()
         dists = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
