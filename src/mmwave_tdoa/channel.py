@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SimulationError
-from .trace import SignalTrace
+from .trace import SignalTrace, power_spectrum
 
 C0 = 299_792_458.0  # vacuum speed of light, m/s
 BOLTZMANN = 1.380649e-23  # J/K
@@ -139,46 +139,40 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
         grids: dict[str, list[tuple[int, float, float]]] = {}
         for lineno, freq, species, value in rows:
             grids.setdefault(species, []).append((lineno, freq, value))
-        merged: dict[float, float] = {}
-        reference = None
+        reference, k = [], 0.0
         for species, entries in grids.items():
             if species not in mole_fractions:
                 raise ConfigurationError(
                     f"{path}: no mole fraction given for species {species!r}"
                 )
+            _require_increasing(path, entries)
             freqs = [freq for _, freq, _ in entries]
-            if reference is None:
-                reference = freqs
-                merged = {freq: 0.0 for freq in freqs}
-            elif freqs != reference:
+            if reference and freqs != reference:
                 raise ConfigurationError(
                     f"{path}: species {species!r} is not tabulated on the same "
                     "frequency grid as the others"
                 )
-            for _, freq, value in entries:
-                merged[freq] += mole_fractions[species] * value
+            reference = freqs
+            k = k + mole_fractions[species] * np.array([value for _, _, value in entries])
         unknown = sorted(set(mole_fractions) - set(grids))
         if unknown:
             raise ConfigurationError(
                 f"{path}: species_fractions names species the table does not hold: "
                 + ", ".join(map(repr, unknown))
             )
-        pairs = sorted(merged.items())
-        freqs = np.array([f for f, _ in pairs])
-        k = np.array([v for _, v in pairs])
+        freqs = np.array(reference)
     else:
+        _require_increasing(path, rows)
         freqs = np.array([freq for _, freq, _, _ in rows])
         k = np.array([value for _, _, _, value in rows])
-        order = np.argsort(freqs)
-        if not np.array_equal(order, np.arange(order.size)):
-            bad = int(np.nonzero(np.diff(freqs) <= 0)[0][0])
-            raise ConfigurationError(
-                f"{path}: row {rows[bad + 1][0]}: frequencies must strictly increase"
-            )
-
-    if freqs.size < 2:
-        raise ConfigurationError(f"{path}: need at least two rows")
     return AbsorptionTable(frequencies=freqs, k=k)
+
+
+def _require_increasing(path, rows: list[tuple]) -> None:
+    """Reject the first (line number, frequency, ...) row not above the one before."""
+    for previous, (lineno, freq, *_) in zip(rows, rows[1:]):
+        if not freq > previous[1]:
+            raise ConfigurationError(f"{path}: row {lineno}: frequencies must strictly increase")
 
 
 def _require_band_covered(table: AbsorptionTable, band: tuple[float, float]) -> None:
@@ -193,11 +187,7 @@ def _require_band_covered(table: AbsorptionTable, band: tuple[float, float]) -> 
 def transmit_psd(pulse: SignalTrace, band: tuple[float, float], power: float):
     """One-sided PSD of the transmitted pulse, scaled so its integral over
     the band equals the pulse power. Returns (frequencies, psd)."""
-    nfft = 1 << 16
-    while nfft < 4 * pulse.samples.size:
-        nfft *= 2
-    freqs = np.fft.rfftfreq(nfft, pulse.step)
-    density = np.abs(np.fft.rfft(pulse.samples, nfft) * pulse.step) ** 2
+    freqs, density = power_spectrum(pulse)
     in_band = (freqs >= band[0]) & (freqs <= band[1])
     scale = power / np.trapezoid(density[in_band], freqs[in_band])
     return freqs, density * scale
@@ -302,6 +292,21 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     return shaped[:n] * np.sqrt(power / kept)
 
 
+def arrival_start(pulse: SignalTrace, distance: float, window: float) -> float:
+    """When the support of the pulse emitted at t = 0 starts arriving over a
+    path of length `distance`; raises unless all of it arrives in [0, window]."""
+    start = distance / C0 + pulse.start_time
+    if start < 0.0:
+        raise ConfigurationError(f"pulse support starts at {start:.3e} s, before the window opens")
+    end = distance / C0 + pulse.end_time
+    if end > window:
+        raise ConfigurationError(
+            f"observation window {window:.3e} s too short; needs at least "
+            f"{end:.3e} s to contain the received pulse"
+        )
+    return start
+
+
 class PathCache:
     """The parts of `propagate` that no noise seed changes, for one pulse,
     absorption table and observation window.
@@ -356,21 +361,9 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     disables it; see noise_variance for the channel's own). Deterministic
     given the seed.
     """
-    pulse, window = cache.pulse, cache.window
+    pulse = cache.pulse
     _require_band_covered(cache.table, spec.band)
-    delay = spec.distance / C0
-    arrival_start = delay + pulse.start_time
-    arrival_end = delay + pulse.end_time
-    if arrival_start < 0.0:
-        raise ConfigurationError(
-            f"pulse support starts at {arrival_start:.3e} s, before the window opens"
-        )
-    if arrival_end > window:
-        raise ConfigurationError(
-            f"observation window {window:.3e} s too short; needs at least "
-            f"{arrival_end:.3e} s to contain the received pulse"
-        )
-    received = cache.clean(spec, arrival_start)
+    received = cache.clean(spec, arrival_start(pulse, spec.distance, cache.window))
 
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")

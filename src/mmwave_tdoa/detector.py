@@ -62,6 +62,15 @@ class DetectorBankConfig:
         return self.t_ob / self.alpha
 
 
+def require_resolvable(bank: DetectorBankConfig, step: float) -> None:
+    """Reject a bank whose final slot spans fewer than 4 grid steps."""
+    if bank.resolution < 4.0 * step:
+        raise ConfigurationError(
+            f"M={bank.branches} Q={bank.stages}: resolution {bank.resolution:.3e} s "
+            f"below 4 grid steps ({4.0 * step:.3e} s); refine the grid or relax the bank"
+        )
+
+
 @dataclass(frozen=True)
 class ToaEstimate:
     """Selected branch per pass, the running estimates, and the final TOA.
@@ -148,12 +157,7 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     i.e. the earlier slot. The single received trace is re-presented to
     every pass, delay lines being modeled as ideal.
     """
-    delta = cfg.resolution
-    if delta < 4.0 * energy.step:
-        raise ConfigurationError(
-            f"resolution {delta:.3e} s below 4 grid steps "
-            f"({4.0 * energy.step:.3e} s); refine the grid or relax the bank"
-        )
+    require_resolvable(cfg, energy.step)
     if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
         raise ConfigurationError("trace must cover the observation window [0, t_ob]")
 
@@ -185,11 +189,7 @@ def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
     (`lpf_approximation` of the received trace) at rate f_s (phase anchored
     at t = 0) and return the time of the largest sample. Each sample
     interpolates linearly between the two grid points around its instant."""
-    grid_rate = 1.0 / filtered.step
-    if f_s > grid_rate * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"sampling rate {f_s:.3e} Hz exceeds the internal grid rate {grid_rate:.3e} Hz"
-        )
+    require_within_grid_rate(f_s, filtered.step)
     first = int(np.ceil(filtered.start_time * f_s - 1e-9))
     t_samples = np.arange(first, int(np.floor(filtered.end_time * f_s + 1e-9)) + 1) / f_s
     v = filtered.samples
@@ -197,6 +197,15 @@ def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
     j = np.minimum(pos.astype(np.int64), v.size - 2)
     values = v[j] + (pos - j) * (v[j + 1] - v[j])
     return float(t_samples[int(np.argmax(values))])
+
+
+def require_within_grid_rate(f_s: float, step: float) -> None:
+    """Reject a sampling rate above the grid rate 1 / step (beyond rounding)."""
+    grid_rate = 1.0 / step
+    if f_s > grid_rate * (1.0 + 1e-12):
+        raise ConfigurationError(
+            f"sampling rate {f_s:.3e} Hz exceeds the grid rate {grid_rate:.3e} Hz"
+        )
 
 
 def pulse_start_from_toa(tau: float, t_p: float) -> float:

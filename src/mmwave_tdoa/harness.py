@@ -28,6 +28,7 @@ from .channel import (
     PathCache,
     _noise_kernel_spectrum,
     _require_band_covered,
+    arrival_start,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -40,6 +41,8 @@ from .detector import (
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
+    require_resolvable,
+    require_within_grid_rate,
     sampling_toa,
 )
 from .errors import ConfigurationError
@@ -153,17 +156,11 @@ class ExperimentConfig:
 
         if not (self.layout_size > 0.0):
             raise ConfigurationError("layout size must be positive")
-        diag = self.layout_size * math.sqrt(2.0)
-        if not (self.t_ob > diag / C0):
-            raise ConfigurationError(
-                f"t_ob = {self.t_ob:.3e} s must exceed the layout diagonal "
-                f"delay {diag / C0:.3e} s"
-            )
         if self.n_positions < 1 or self.n_runs < 1:
             raise ConfigurationError("need at least one position and one run")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        for name in ("step", "temperature"):
+        for name in ("t_ob", "step", "temperature"):
             if not (getattr(self, name) > 0.0):
                 raise ConfigurationError(f"{name} must be positive")
         if not (0.0 < band[0] < band[1]):
@@ -261,13 +258,9 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     tx = generate_pulse(spec, cfg.step)
     t_p = effective_duration(tx, cfg.energy_fraction)
 
-    diag = cfg.layout_size * math.sqrt(2.0)
-    required = diag / C0 + tx.end_time
-    if cfg.t_ob < required:
-        raise ConfigurationError(
-            f"t_ob = {cfg.t_ob:.3e} s cannot contain the pulse at the far corner; "
-            f"need at least {required:.3e} s"
-        )
+    # Every path is longer than guard_radius and no longer than the diagonal.
+    _check_field("guard_radius", arrival_start, tx, cfg.guard_radius, cfg.t_ob)
+    _check_field("t_ob", arrival_start, tx, cfg.layout_size * math.sqrt(2.0), cfg.t_ob)
 
     use_ctma = cfg.estimator in ("ctma", "both")
     use_sampling = cfg.estimator in ("sampling", "both")
@@ -276,17 +269,10 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         for m, q in (cfg.mq_pairs if use_ctma else ())
     )
     for bank in banks:
-        if bank.resolution < 4.0 * cfg.step:
-            raise ConfigurationError(
-                f"M={bank.branches} Q={bank.stages}: resolution {bank.resolution:.3e} s "
-                f"is below 4 grid steps ({4.0 * cfg.step:.3e} s)"
-            )
+        _check_field("mq_pairs", require_resolvable, bank, cfg.step)
     rates = tuple(cfg.sampling_rates) if use_sampling else ()
     for f_s in rates:
-        if f_s > 1.0 / cfg.step:
-            raise ConfigurationError(
-                f"sampling rate {f_s:.3e} Hz exceeds the grid rate {1.0 / cfg.step:.3e} Hz"
-            )
+        _check_field("sampling_rates", require_within_grid_rate, f_s, cfg.step)
     if not banks and not rates:
         raise ConfigurationError(f"estimator {cfg.estimator!r} has no configured sweep points")
     alphas = [bank.alpha for bank in banks]
@@ -319,6 +305,14 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         ctma_offset=ctma_offset,
         lpf_offset=lpf_offset,
     )
+
+
+def _check_field(field: str, check, *args) -> None:
+    """check(*args), naming the config field at fault in its ConfigurationError."""
+    try:
+        check(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{field}: {exc}") from None
 
 
 def _require_bounded_grid(cfg: ExperimentConfig, spec: PulseSpec) -> None:

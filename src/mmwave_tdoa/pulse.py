@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import ConfigurationError
-from .trace import SignalTrace
+from .trace import SignalTrace, power_spectrum
 
 # 20 THz internal rate: resolves the full pulse spectrum (< 1 THz content)
 # and the finest delay quantum exercised by the delay-bank experiments.
@@ -42,10 +42,7 @@ class PulseSpec:
             raise ConfigurationError("center frequency must be positive")
         if not (self.power > 0.0):
             raise ConfigurationError("pulse power must be positive")
-        if not (0.99 <= self.energy_fraction_for_duration < 1.0):
-            raise ConfigurationError(
-                "energy fraction for the duration must lie in [0.99, 1)"
-            )
+        _require_energy_fraction(self.energy_fraction_for_duration)
 
     @property
     def sigma(self) -> float:
@@ -62,6 +59,11 @@ class PulseSpec:
         """Half-width of the synthesized support: 10 sigma past the
         outermost oscillation."""
         return self.sigma * (math.sqrt(2.0 * (2.0 * self.order + 1.0)) + 10.0)
+
+
+def _require_energy_fraction(fraction: float) -> None:
+    if not (0.99 <= fraction < 1.0):
+        raise ConfigurationError(f"energy fraction {fraction!r} must lie in [0.99, 1)")
 
 
 def gaussian_derivative(t: np.ndarray, p: int, sigma: float) -> np.ndarray:
@@ -102,8 +104,7 @@ def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:
 def effective_duration(trace: SignalTrace, fraction: float) -> float:
     """Length of the shortest interval, centered on the energy centroid,
     holding `fraction` of the trace energy."""
-    if not (0.99 <= fraction < 1.0):
-        raise ConfigurationError("energy fraction must lie in [0.99, 1)")
+    _require_energy_fraction(fraction)
     e = trace.samples * trace.samples
     total = float(np.sum(e))
     if total <= 0.0:
@@ -134,18 +135,9 @@ def effective_duration(trace: SignalTrace, fraction: float) -> float:
     return 2.0 * lo_m * trace.step
 
 
-def _power_spectrum(trace: SignalTrace):
-    nfft = 1 << 18
-    while nfft < 4 * trace.samples.size:
-        nfft *= 2
-    spectrum = np.fft.rfft(trace.samples, nfft) * trace.step
-    freqs = np.fft.rfftfreq(nfft, trace.step)
-    return freqs, np.abs(spectrum) ** 2
-
-
 def spectral_peak(trace: SignalTrace) -> float:
     """Frequency of the magnitude-spectrum maximum (zero-padded FFT grid)."""
-    freqs, power = _power_spectrum(trace)
+    freqs, power = power_spectrum(trace)
     return float(freqs[int(np.argmax(power))])
 
 
@@ -156,7 +148,7 @@ def half_power_band(trace: SignalTrace) -> tuple[float, float]:
     """
     if not np.any(trace.samples):
         raise ConfigurationError("half-power band of an all-zero trace is undefined")
-    freqs, power = _power_spectrum(trace)
+    freqs, power = power_spectrum(trace)
     k = int(np.argmax(power))
     half = power[k] / 2.0
 

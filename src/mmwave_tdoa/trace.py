@@ -62,6 +62,15 @@ class SignalTrace:
         return max(i0, 0), min(i1, self.samples.size)
 
 
+def power_spectrum(trace: SignalTrace):
+    """(frequencies, |rfft * step|^2), padded to a power of two >= 2^16 and >= 4 trace lengths."""
+    nfft = 1 << 16
+    while nfft < 4 * trace.samples.size:
+        nfft *= 2
+    freqs = np.fft.rfftfreq(nfft, trace.step)
+    return freqs, np.abs(np.fft.rfft(trace.samples, nfft) * trace.step) ** 2
+
+
 def dump_csv(trace: SignalTrace, path) -> None:
     """Write a trace as two-column CSV (time_s, value) for debugging."""
     data = np.column_stack([trace.times(), trace.samples])

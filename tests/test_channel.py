@@ -52,6 +52,24 @@ def test_ingest_rejects_non_monotone(tmp_path):
         ingest_absorption(path)
 
 
+@pytest.mark.parametrize(
+    "text, fractions",
+    [
+        ("frequency_hz,k_per_m\n1.0e11,1.0\n1.0e11,2.0\n2.0e11,3.0\n", None),
+        (
+            "frequency_hz,species,K_per_m\n1.0e11,H2O,1.0\n1.0e11,H2O,2.0\n2.0e11,H2O,3.0\n",
+            {"H2O": 1.0},
+        ),
+    ],
+    ids=["summed", "per-species"],
+)
+def test_ingest_rejects_a_repeated_frequency_naming_its_row(tmp_path, text, fractions):
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="row 3"):
+        ingest_absorption(path, fractions)
+
+
 def test_ingest_rejects_negative_k(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("frequency_hz,k_per_m\n1.0e11,0.001\n2.0e11,-0.003\n")
@@ -230,6 +248,11 @@ def test_propagation_deterministic_given_seed(pulse2, flat_table):
 def test_propagation_window_overflow_names_requirement(pulse2, lossless_table):
     with pytest.raises(ConfigurationError, match="at least"):
         propagate(PathCache(pulse2, lossless_table, window=5e-9), spec_at(C0 * 9e-9), 0, 0.0)
+
+
+def test_propagation_rejects_a_pulse_arriving_before_the_window(pulse2, lossless_table):
+    with pytest.raises(ConfigurationError, match="before the window opens"):
+        propagate(PathCache(pulse2, lossless_table, window=10e-9), spec_at(0.002), 0, 0.0)
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):

@@ -4,9 +4,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmwave_tdoa import C0, PulseSpec, generate_pulse
 from mmwave_tdoa.cli import main
 from mmwave_tdoa.errors import SimulationError
 from mmwave_tdoa.harness import ExperimentConfig
@@ -69,6 +70,30 @@ def test_simulate_toa_without_bank_fails_before_propagating(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "estimator" in err and "mq_pairs" in err
+
+
+# A received pulse must start inside the window: every path must be longer
+# than c0 times the pulse's lead before its time origin (4.45 mm here).
+NEAR_EDGE_CONFIGS = [
+    {"guard_radius": 0.0, "toa_position": [0.002, 0.002]},
+    {"guard_radius": 0.001, "toa_position": [0.002, 0.0]},  # 2 mm from a receiver
+]
+
+
+@pytest.mark.parametrize("override", NEAR_EDGE_CONFIGS)
+def test_near_edge_of_the_window_names_guard_radius_before_propagating(
+    tmp_path, monkeypatch, capsys, override
+):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate called before the window check")
+
+    monkeypatch.setattr("mmwave_tdoa.harness.propagate", no_propagation)
+    path = tmp_path / "cfg.json"
+    cfg = {**TINY_CFG, "estimator": "ctma", "sampling_rates": [], **override}
+    path.write_text(json.dumps(cfg))
+    for command in ("validate-config", "simulate-toa"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "guard_radius" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -215,6 +240,8 @@ def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkey
         ({"guard_radius": 1.5}, "guard_radius"),
         ({"absorption_path": "missing.csv"}, "absorption table"),
         ({"species_fractions": {"H2O": 0.5}}, "species_fractions"),  # summed table
+        ({"t_ob": 0.0}, "t_ob"),
+        ({"t_ob": -1e-8}, "t_ob"),
     ],
 )
 def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, field):
@@ -283,6 +310,14 @@ FIELD_VALUES["absorption_path"] = st.sampled_from([None, "", "missing.csv", ".",
 FIELD_VALUES["species_fractions"] = st.none() | st.dictionaries(
     st.text(max_size=3), st.floats(0.0, 1.0) | JUNK, max_size=2
 )
+# guard_radius at 0 and at the floor the window's near edge sets (c0 times
+# the default pulse's lead), and toa_position a few mm from a receiver.
+DEFAULT_PULSE = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6))
+GUARD_FLOOR = -C0 * DEFAULT_PULSE.start_time
+FIELD_VALUES["guard_radius"] |= st.sampled_from([0.0, GUARD_FLOOR, 0.004, 0.005])
+FIELD_VALUES["toa_position"] |= st.sampled_from(
+    [[0.002, 0.002], [0.003, 0.0], [2.0, 0.004], [0.0, 1.997]]
+)
 FIELD_VALUES["bogus_key"] = st.integers()
 CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=6).flatmap(
     lambda keys: st.fixed_dictionaries({k: FIELD_VALUES[k] for k in keys})
@@ -290,6 +325,8 @@ CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=
 
 
 @given(data=CONFIGS)
+@example(data={"guard_radius": GUARD_FLOOR})
+@example(data={"guard_radius": 0.0, "toa_position": [0.002, 0.002]})
 @settings(max_examples=60, deadline=None)
 def test_validate_config_never_raises(data):
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mmwave_tdoa import C0, ConfigurationError, ExperimentConfig, aede, run_experiment
 from mmwave_tdoa import channel, harness
 from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, transmit_psd
+from mmwave_tdoa.detector import lpf_approximation, sampling_toa
 from mmwave_tdoa.harness import (
     TrialResult,
     _trace_seed,
@@ -102,8 +103,22 @@ def test_summarize_orders_ctma_then_sampling():
 
 
 def test_config_rejects_short_observation_window():
-    with pytest.raises(ConfigurationError, match="diagonal"):
-        ExperimentConfig(t_ob=5e-9)
+    # The pulse must arrive whole over the 2 m layout's diagonal, a 9.43 ns delay.
+    with pytest.raises(ConfigurationError, match="t_ob"):
+        prepare(ExperimentConfig(t_ob=5e-9))
+    with pytest.raises(ConfigurationError, match="t_ob"):
+        prepare(ExperimentConfig(t_ob=2.0 * np.sqrt(2.0) / C0 + 1e-12))
+
+
+def test_guard_radius_floor_is_the_pulse_lead():
+    """A path shorter than c0 times the pulse's lead before its own time
+    origin (4.45 mm here) would start the received pulse before t = 0."""
+    floor = -C0 * prepare(ExperimentConfig(**TINY)).tx.start_time
+    assert 4.4e-3 < floor < 4.5e-3
+    prepare(ExperimentConfig(**TINY, guard_radius=1.001 * floor))
+    for guard_radius in (0.0, 0.999 * floor):
+        with pytest.raises(ConfigurationError, match="guard_radius"):
+            prepare(ExperimentConfig(**TINY, guard_radius=guard_radius))
 
 
 def test_config_rejects_bad_modes_and_keys():
@@ -131,6 +146,18 @@ def test_prepare_rejects_too_fast_sampling():
     cfg = ExperimentConfig(**{**TINY, "sampling_rates": (30e12,)})
     with pytest.raises(ConfigurationError, match="grid rate"):
         prepare(cfg)
+
+
+def test_prepare_and_sampling_toa_share_the_grid_rate_threshold():
+    grid_rate = 1.0 / ExperimentConfig().step
+    accepted, rejected = grid_rate * (1.0 + 5e-13), grid_rate * (1.0 + 1e-11)
+    prep = prepare(ExperimentConfig(**{**TINY, "sampling_rates": (accepted,)}))
+    filtered = lpf_approximation(prep.tx, prep.t_p)
+    sampling_toa(filtered, accepted)
+    with pytest.raises(ConfigurationError, match="sampling_rates"):
+        prepare(ExperimentConfig(**{**TINY, "sampling_rates": (rejected,)}))
+    with pytest.raises(ConfigurationError, match="grid rate"):
+        sampling_toa(filtered, rejected)
 
 
 def test_positions_respect_guard_ring():
