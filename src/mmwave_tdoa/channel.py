@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class AbsorptionTable:
             raise ConfigurationError("absorption table needs >= 2 (frequency, k) rows")
         if not np.all(np.diff(f) > 0.0):
             raise ConfigurationError("absorption table frequencies must strictly increase")
+        if not np.all(np.isfinite(k)):
+            raise ConfigurationError("absorption coefficients must be finite")
         if np.any(k < 0.0):
             raise ConfigurationError("absorption coefficients must be non-negative")
 
@@ -129,6 +132,8 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
                     freq, species, value = float(row[0]), None, float(row[1])
             except (ValueError, IndexError):
                 raise ConfigurationError(f"{path}: row {lineno}: malformed row {row!r}") from None
+            if not (math.isfinite(freq) and math.isfinite(value)):
+                raise ConfigurationError(f"{path}: row {lineno}: non-finite value in {row!r}")
             if value < 0.0:
                 raise ConfigurationError(
                     f"{path}: row {lineno}: negative absorption coefficient {value}"
@@ -313,10 +318,11 @@ class PathCache:
 
     On construction: the pulse spectrum and the absorption exponent
     -0.5 k(f) on the propagation FFT grid, shared by every path, and heap
-    pages kept for a path's transform (`_keep_heap_pages`). On first
-    use of a path: its clean (noise-free) received waveform, shared by every
-    noise run over that path until `forget_paths`. The caller owns the
-    cache; cached arrays are read-only because every trace may share them.
+    pages kept for a path's transform (`_keep_heap_pages`). On first use
+    of a path: its band and arrival checks and its clean (noise-free)
+    received waveform, shared by every noise run over that path until
+    `forget_paths`. The caller owns the cache; cached arrays are read-only
+    because every trace may share them.
     """
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
@@ -326,23 +332,26 @@ class PathCache:
         _keep_heap_pages(self.nfft)
         self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
         self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
-        self._clean: dict[tuple, np.ndarray] = {}
+        self._clean: dict[ChannelSpec, np.ndarray] = {}
 
-    def clean(self, spec: ChannelSpec, arrival_start: float) -> np.ndarray:
-        """Noise-free received samples on [0, window] for a path whose pulse
-        support starts arriving at arrival_start: the pulse spectrum times
-        H(f, R) of the module docstring, the one place it is applied."""
-        key = (spec, arrival_start)
-        if key not in self._clean:
+    def clean(self, spec: ChannelSpec) -> np.ndarray:
+        """Noise-free received samples on [0, window] over the path of spec:
+        the pulse spectrum times H(f, R) of the module docstring, the one
+        place it is applied. The table must cover the band and the whole
+        pulse must arrive inside the window; both are checked on the path's
+        first use, and a path that fails them is never cached."""
+        if spec not in self._clean:
+            _require_band_covered(self.table, spec.band)
+            start = arrival_start(self.pulse, spec.distance, self.window)
             amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
             response = amplitude * np.exp(self.absorption * spec.distance)
             freqs = np.fft.rfftfreq(self.nfft, self.pulse.step)
-            shift = np.exp(-2j * np.pi * freqs * arrival_start)
+            shift = np.exp(-2j * np.pi * freqs * start)
             product = self.spectrum * response * shift
             received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
             received.flags.writeable = False
-            self._clean[key] = received
-        return self._clean[key]
+            self._clean[spec] = received
+        return self._clean[spec]
 
     def forget_paths(self) -> None:
         """Drop the cached clean waveforms (the shared spectra stay)."""
@@ -357,20 +366,15 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     at pulse-frame time u is received at u + R/c0. The delay is applied as
     a spectral phase, which realizes fractional-step delays exactly in the
     band-limited sense. The clean waveform of a path comes from the cache,
-    computed on its first use. The noise has variance `noise_power` (0
-    disables it; see noise_variance for the channel's own). Deterministic
-    given the seed.
+    checked and computed on its first use. The noise has variance
+    `noise_power` (0 disables it; see noise_variance for the channel's own).
+    Deterministic given the seed.
     """
-    pulse = cache.pulse
-    _require_band_covered(cache.table, spec.band)
-    received = cache.clean(spec, arrival_start(pulse, spec.distance, cache.window))
-
+    step = cache.pulse.step
+    received = cache.clean(spec)
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        received = received + _band_limited_noise(
-            rng, cache.n_out, pulse.step, spec.band, noise_power
-        )
-
-    return SignalTrace(start_time=0.0, step=pulse.step, samples=received)
+        received = received + _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
+    return SignalTrace(start_time=0.0, step=step, samples=received)

@@ -101,7 +101,7 @@ def main(argv=None) -> int:
         dump_dir = out / "traces" if args.dump_traces else None
 
         if args.command == "simulate-toa":
-            rows = toa_sweep(cfg, dump_dir=dump_dir)
+            rows, timings = toa_sweep(cfg, dump_dir=dump_dir)
             write_rows_csv(rows, out / "toa_vs_alpha.csv")
             print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
         else:
@@ -119,9 +119,9 @@ def main(argv=None) -> int:
                     for row in rows
                 ]
                 write_rows_csv(rows, out / "sweep.csv")
-            _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
             for row in rows:
                 print(_format_row(row))
+        _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -77,6 +77,33 @@ def test_ingest_rejects_negative_k(tmp_path):
         ingest_absorption(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "text, fractions, row",
+    [
+        ("frequency_hz,k_per_m\n1.0e11,0.001\n2.0e11,{bad}\n3.0e11,0.002\n", None, 3),
+        ("frequency_hz,k_per_m\n1.0e11,0.001\n2.0e11,0.003\n{bad},0.002\n", None, 4),
+        (
+            "frequency_hz,species,K_per_m\n1.0e11,H2O,1.0\n2.0e11,H2O,{bad}\n3.0e11,H2O,2.0\n",
+            {"H2O": 0.5},
+            3,
+        ),
+    ],
+    ids=["summed", "summed-frequency", "per-species"],
+)
+def test_ingest_rejects_a_non_finite_value_naming_its_row(tmp_path, text, fractions, row, bad):
+    path = tmp_path / "k.csv"
+    path.write_text(text.format(bad=bad))
+    with pytest.raises(ConfigurationError, match=f"row {row}: non-finite"):
+        ingest_absorption(path, fractions)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_absorption_table_rejects_a_non_finite_coefficient(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        AbsorptionTable(frequencies=np.array([1e11, 2e11, 3e11]), k=np.array([0.0, bad, 0.0]))
+
+
 def test_ingest_rejects_malformed_row(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("frequency_hz,k_per_m\n1.0e11,0.001\nnot-a-number,0.1\n")
@@ -253,6 +280,20 @@ def test_propagation_window_overflow_names_requirement(pulse2, lossless_table):
 def test_propagation_rejects_a_pulse_arriving_before_the_window(pulse2, lossless_table):
     with pytest.raises(ConfigurationError, match="before the window opens"):
         propagate(PathCache(pulse2, lossless_table, window=10e-9), spec_at(0.002), 0, 0.0)
+
+
+def test_a_path_that_fails_its_checks_raises_on_every_call(pulse2, lossless_table, flat_table):
+    """A path is checked on its first use and cached only if it passes, so
+    an uncovered band or an overlong path raises on every call."""
+    uncovered = ChannelSpec(distance=1.0, center_frequency=200e9, band=(20e9, 300e9))
+    cases = [
+        (PathCache(pulse2, flat_table, window=10e-9), uncovered, "must be covered"),
+        (PathCache(pulse2, lossless_table, window=5e-9), spec_at(C0 * 9e-9), "at least"),
+    ]
+    for cache, spec, message in cases:
+        for seed in (0, 1):
+            with pytest.raises(ConfigurationError, match=message):
+                propagate(cache, spec, seed, 0.0)
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):

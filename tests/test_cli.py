@@ -177,6 +177,38 @@ def test_simulate_toa_writes_table(cfg_path, tmp_path):
     assert len(lines) == 1 + 2 * 3  # header + runs x receivers for one bank
 
 
+def test_simulate_toa_writes_run_meta(cfg_path, tmp_path):
+    out = tmp_path / "toa"
+    assert main(["simulate-toa", "--config", str(cfg_path), "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    stage_s = meta["stage_s"]
+    assert stage_s["propagate"] > 0.0 and stage_s["ctma"] > 0.0
+    assert stage_s["sampling"] == 0.0
+    assert sum(stage_s.values()) <= meta["wall_time_s"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "table, fractions",
+    [
+        ("frequency_hz,k_per_m\n5e10,0.01\n2e11,{bad}\n5e11,0.01\n", None),
+        ("frequency_hz,species,K_per_m\n5e10,H2O,1\n2e11,H2O,{bad}\n5e11,H2O,1\n", {"H2O": 0.01}),
+    ],
+    ids=["summed", "per-species"],
+)
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+def test_non_finite_absorption_is_a_config_error_naming_its_row(
+    tmp_path, capsys, command, table, fractions, bad
+):
+    path = tmp_path / "k.csv"
+    path.write_text(table.format(bad=bad))
+    cfg = {**TINY_CFG, "n_positions": 1, "n_runs": 1, "absorption_path": str(path)}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**cfg, "species_fractions": fractions}))
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert "row 3: non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])
 def test_dump_traces_flag(cfg_path, tmp_path, command):
     out = tmp_path / "run"

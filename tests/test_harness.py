@@ -272,7 +272,7 @@ def test_toa_sweep_tracks_true_delay():
         n_positions=1, n_runs=2, seed=4, mq_pairs=((10, 2), (2, 11)),
         sampling_rates=(), estimator="ctma", noise=False, toa_position=(0.5, 0.75),
     )
-    rows = toa_sweep(cfg)
+    rows, _ = toa_sweep(cfg)
     assert len(rows) == 2 * 2 * 3
     alphas = [r["alpha"] for r in rows]
     assert alphas == sorted(alphas)
@@ -337,6 +337,23 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     monkeypatch.setattr(harness, "propagate", spy)
     run_experiment(cfg)
     assert seen == [(p, r, b) for p in range(2) for r in range(3) for b in range(3)]
+
+
+def test_each_path_is_checked_once_per_position(monkeypatch):
+    """The window check (and the band check beside it) runs on a path's
+    first propagation, not on every noise run over it."""
+    real = channel.arrival_start
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "arrival_start", spy)
+    cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
+    assert cfg.noise
+    run_experiment(cfg)
+    assert len(calls) == cfg.n_positions * 3
 
 
 def test_noise_band_pass_is_built_once_per_experiment(monkeypatch):
