@@ -17,6 +17,7 @@ from .detector import (
     lpf_approximation,
     pulse_start_from_toa,
     sampling_toa,
+    sampling_toas,
 )
 from .errors import ConfigurationError, SimulationError
 from .harness import (
@@ -67,6 +68,7 @@ __all__ = [
     "pulse_start_from_toa",
     "run_experiment",
     "sampling_toa",
+    "sampling_toas",
     "solve_position",
     "spectral_peak",
     "tdoa_ranges",

@@ -3,11 +3,15 @@
 Subcommands:
   simulate-toa     TOA-versus-resolution data for one node position
   simulate-tdoa    full localization Monte Carlo (trials.csv, summary.json)
-  sweep            simulate-tdoa plus sweep.csv (estimation runtime per sweep point
-                   and of the per-trace stage its estimator family shares)
+  sweep            simulate-tdoa plus sweep.csv: runtime_s, the time of each sweep
+                   point alone (a bank's refinement and its position solve; a
+                   rate's position solve), and shared_s, the per-trace stage its
+                   estimator family shares (the windowed energy; the LPF with
+                   every rate's sampling)
   validate-config  check a config and report derived quantities
 
-Exit codes: 0 success, 2 configuration error, 3 runtime/numeric error.
+Exit codes: 0 success, 2 configuration error (a write under --out or
+--dump-traces that fails included), 3 runtime/numeric error.
 """
 from __future__ import annotations
 
@@ -95,33 +99,14 @@ def main(argv=None) -> int:
                 print(f"  sampling rate {f_s:.4e} Hz")
             return 0
 
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        dump_dir = out / "traces" if args.dump_traces else None
-
-        if args.command == "simulate-toa":
-            rows, timings = toa_sweep(cfg, dump_dir=dump_dir)
-            write_rows_csv(rows, out / "toa_vs_alpha.csv")
-            print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
-        else:
-            trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
-            write_rows_csv(trial_rows(trials), out / "trials.csv")
-            write_summary_json(summary, out / "summary.json")
-            rows = summary["results"]
-            if args.command == "sweep":
-                rows = [
-                    {
-                        **row,
-                        "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
-                        "shared_s": timings[row["estimator"]],
-                    }
-                    for row in rows
-                ]
-                write_rows_csv(rows, out / "sweep.csv")
-            for row in rows:
-                print(_format_row(row))
-        _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
+        dump_dir = args.out / "traces" if args.dump_traces else None
+        try:
+            _run(args.command, cfg, args.out, dump_dir)
+        except OSError as exc:
+            # Inputs are read (and their errors named) before any write.
+            written = Path(exc.filename or args.out)
+            flag = "--dump-traces" if dump_dir in (written, *written.parents) else "--out"
+            raise ConfigurationError(f"{flag}: cannot write {written}: {exc.strerror}") from exc
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -129,6 +114,33 @@ def main(argv=None) -> int:
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
+
+
+def _run(command: str, cfg: ExperimentConfig, out: Path, dump_dir: Path | None) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    if command == "simulate-toa":
+        rows, timings = toa_sweep(cfg, dump_dir=dump_dir)
+        write_rows_csv(rows, out / "toa_vs_alpha.csv")
+        print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
+    else:
+        trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
+        write_rows_csv(trial_rows(trials), out / "trials.csv")
+        write_summary_json(summary, out / "summary.json")
+        rows = summary["results"]
+        if command == "sweep":
+            rows = [
+                {
+                    **row,
+                    "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
+                    "shared_s": timings[row["estimator"]],
+                }
+                for row in rows
+            ]
+            write_rows_csv(rows, out / "sweep.csv")
+        for row in rows:
+            print(_format_row(row))
+    _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
 
 
 def _write_meta(out: Path, wall_time: float, stage_s: dict) -> None:

@@ -12,6 +12,10 @@ window is the pulse duration throughout; only the observation slots
 shrink), so the refinement provably converges on the dense-grid peak:
 noise-free or not, the returned estimate equals delta * floor(t*/delta)
 with t* the dense-grid argmax and delta the final resolution.
+
+The sampling baseline needs only the time of the largest sample of the
+low-pass output, and its kernel is non-negative, so `sampling_toas` filters
+block by block and only where that maximum can be (see its docstring).
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _fast_length
 from .errors import ConfigurationError
 from .trace import SignalTrace
 
@@ -119,31 +122,72 @@ def ctma_output(
 
 
 @functools.lru_cache(maxsize=4)
-def _lpf_kernel_spectrum(t_p: float, step: float, n: int) -> tuple[int, np.ndarray]:
-    """FFT length and kernel spectrum for low-pass filtering n samples: the
-    rfft of h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p, cut at the
-    exp(-20) tail. Memoized on its values, and read-only, because every trace
-    of an experiment shares it."""
+def _lpf_kernel(t_p: float, step: float) -> tuple[int, float, np.ndarray]:
+    """The kernel h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p, on the
+    grid and cut at its exp(-20) tail: its length K, its largest value and
+    its spectrum at the block FFT length, the smallest power of two above
+    2 K (at least 4,096). Memoized on its values, and read-only, because
+    every trace of an experiment shares it."""
     beta = 1.4615 / t_p
     n_kernel = int(np.ceil(20.0 / (beta * step)))
     t = np.arange(n_kernel) * step
     kernel = beta * beta * t * np.exp(-beta * t)
-    nfft = _fast_length(n + n_kernel)
-    spectrum = np.fft.rfft(kernel, nfft)
+    spectrum = np.fft.rfft(kernel, 1 << max(12, (2 * n_kernel).bit_length()))
     spectrum.flags.writeable = False
-    return nfft, spectrum
+    return n_kernel, float(kernel.max()), spectrum
+
+
+class _BlockLpf:
+    """`lpf_approximation` of one trace as an overlap-save convolution.
+
+    Output block b holds the grid points [b B, (b + 1) B) and is the irfft
+    of the rfft of the K - 1 + B squared samples it sees, times the kernel
+    spectrum. Each block is filtered alone and at most once, so its values
+    do not depend on which other blocks are filtered.
+    """
+
+    def __init__(self, v: SignalTrace, t_p: float):
+        if not (t_p > 0.0):
+            raise ConfigurationError("pulse duration must be positive")
+        self.n_kernel, self.h_max, self.spectrum = _lpf_kernel(t_p, v.step)
+        self.length = 2 * (self.spectrum.size - 1)
+        self.block = self.length - self.n_kernel + 1
+        self.step, n = v.step, v.samples.size
+        self.count = -(-n // self.block)
+        # v^2 behind K - 1 zeros, zero-padded past the last block's input.
+        self.squared = np.zeros(self.count * self.block + self.n_kernel)
+        np.multiply(v.samples, v.samples, out=self.squared[self.n_kernel - 1 :][:n])
+        self.samples = np.empty(n)
+        self.done = np.zeros(self.count, dtype=bool)
+
+    def compute(self, b: int) -> None:
+        """Filter output block b, unless it is done."""
+        if not self.done[b]:
+            a, lead = b * self.block, self.n_kernel - 1
+            spectrum = np.fft.rfft(self.squared[a : a + self.length]) * self.spectrum
+            out = self.samples[a : a + self.block]
+            out[:] = np.fft.irfft(spectrum, self.length)[lead : lead + out.size] * self.step
+            self.done[b] = True
+
+    def bounds(self) -> np.ndarray:
+        """Per block, an upper bound on the output at its grid points and
+        the next one: step * max(h) * the sum of v^2 over the input they
+        see, as h >= 0. Each sum is taken over its own points, so its
+        rounding is relative to itself."""
+        starts = np.arange(self.count) * self.block
+        edges = np.column_stack([starts, starts + self.n_kernel]).ravel()
+        sums = np.add.reduceat(self.squared, np.append(edges, starts[-1] + self.block))
+        heads, middles = sums[0::2], sums[1::2]
+        return (heads[:-1] + middles + heads[1:]) * (self.step * self.h_max)
 
 
 def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
     """Second-order low-pass approximation of the energy detector: v^2
     convolved with h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p."""
-    if not (t_p > 0.0):
-        raise ConfigurationError("pulse duration must be positive")
-    squared = v.samples * v.samples
-    nfft, kernel_spectrum = _lpf_kernel_spectrum(t_p, v.step, squared.size)
-    out = np.fft.irfft(np.fft.rfft(squared, nfft) * kernel_spectrum, nfft)
-    filtered = out[: squared.size] * v.step
-    return SignalTrace(start_time=v.start_time, step=v.step, samples=filtered)
+    lpf = _BlockLpf(v, t_p)
+    for b in range(lpf.count):
+        lpf.compute(b)
+    return SignalTrace(start_time=v.start_time, step=v.step, samples=lpf.samples)
 
 
 def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
@@ -184,19 +228,69 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
 
 
+def _sample_instants(trace: SignalTrace, f_s: float):
+    """Rate f_s's sample instants inside the trace (phase anchored at
+    t = 0), their grid positions, and the grid index j below each, clipped
+    to n - 2 so that every sample lies between grid points j and j + 1."""
+    require_within_grid_rate(f_s, trace.step)
+    first = int(np.ceil(trace.start_time * f_s - 1e-9))
+    t_samples = np.arange(first, int(np.floor(trace.end_time * f_s + 1e-9)) + 1) / f_s
+    pos = (t_samples - trace.start_time) / trace.step
+    return t_samples, pos, np.minimum(pos.astype(np.int64), len(trace) - 2)
+
+
+def _interpolate(v: np.ndarray, pos: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Samples at grid positions pos, linear between grid points j and j + 1."""
+    return v[j] + (pos - j) * (v[j + 1] - v[j])
+
+
 def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
     """Nyquist-style baseline: sample the low-pass detector output
     (`lpf_approximation` of the received trace) at rate f_s (phase anchored
     at t = 0) and return the time of the largest sample. Each sample
     interpolates linearly between the two grid points around its instant."""
-    require_within_grid_rate(f_s, filtered.step)
-    first = int(np.ceil(filtered.start_time * f_s - 1e-9))
-    t_samples = np.arange(first, int(np.floor(filtered.end_time * f_s + 1e-9)) + 1) / f_s
-    v = filtered.samples
-    pos = (t_samples - filtered.start_time) / filtered.step
-    j = np.minimum(pos.astype(np.int64), v.size - 2)
-    values = v[j] + (pos - j) * (v[j + 1] - v[j])
-    return float(t_samples[int(np.argmax(values))])
+    t_samples, pos, j = _sample_instants(filtered, f_s)
+    return float(t_samples[int(np.argmax(_interpolate(filtered.samples, pos, j)))])
+
+
+def sampling_toas(v: SignalTrace, t_p: float, rates) -> list[float]:
+    """`sampling_toa(lpf_approximation(v, t_p), f_s)` for every f_s in
+    rates, filtering only the blocks that can hold some rate's largest
+    sample.
+
+    A sample between grid points j and j + 1 is at most the larger of the
+    two, so at most the `_BlockLpf.bounds` of the block of j. Blocks are
+    visited in descending bound order. Block b, and b + 1 for the sample
+    after b's last point, is filtered while some rate with samples in b
+    has none yet above b's bound plus 1e-9 times the largest bound, a
+    margin far above the rounding of the bounds and transforms. Every
+    sample left out is then below its rate's maximum, and ties keep the
+    earliest sample, as `np.argmax` does.
+    """
+    lpf = _BlockLpf(v, t_p)
+    grids = [_sample_instants(v, f_s) for f_s in rates]
+    starts = np.arange(1, lpf.count) * lpf.block
+    edges = [np.concatenate([[0], np.searchsorted(j, starts), [j.size]]) for _, _, j in grids]
+    best = [(-np.inf, 0)] * len(grids)  # per rate: (largest sample, its index)
+    bound = lpf.bounds()
+    margin = 1e-9 * bound.max()
+    for b in np.argsort(-bound, kind="stable"):
+        open_rates = [r for r, (value, _) in enumerate(best) if not value > bound[b] + margin]
+        if not open_rates:
+            break
+        if all(edges[r][b] == edges[r][b + 1] for r in open_rates):
+            continue
+        lpf.compute(b)
+        if b + 1 < lpf.count:
+            lpf.compute(b + 1)
+        for r, ((_, pos, j), edge) in enumerate(zip(grids, edges)):
+            lo, hi = edge[b], edge[b + 1]
+            if hi > lo:
+                values = _interpolate(lpf.samples, pos[lo:hi], j[lo:hi])
+                k = int(np.argmax(values))
+                if values[k] > best[r][0] or (values[k] == best[r][0] and lo + k < best[r][1]):
+                    best[r] = (values[k], lo + k)
+    return [float(t_samples[k]) for (t_samples, _, _), (_, k) in zip(grids, best)]
 
 
 def require_within_grid_rate(f_s: float, step: float) -> None:

@@ -43,7 +43,7 @@ from .detector import (
     pulse_start_from_toa,
     require_resolvable,
     require_within_grid_rate,
-    sampling_toa,
+    sampling_toas,
 )
 from .errors import ConfigurationError
 from .locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
@@ -441,24 +441,21 @@ def _bank_toas(prep, trace, timings) -> list[float]:
 
 
 def _rate_toas(prep, trace, timings) -> list[float]:
-    """The trace's TOA at every sampling rate; every rate samples the same
-    LPF output."""
+    """The trace's TOA at every sampling rate, from one pass that filters
+    only the LPF blocks some rate's largest sample can lie in."""
     if not prep.sampling_rates:
         return []
-    filtered = _timed(timings, "sampling", lpf_approximation, trace, prep.t_p)
-    return [
-        _timed(timings, ("sampling", None, f_s), sampling_toa, filtered, f_s)
-        for f_s in prep.sampling_rates
-    ]
+    return _timed(timings, "sampling", sampling_toas, trace, prep.t_p, prep.sampling_rates)
 
 
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     """Run the full Monte Carlo and return (trials, summary, timings).
 
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
-    time spent estimating and localizing for it, each estimator family
-    ("ctma", "sampling") to the time of the per-trace stage its points share
-    (the windowed energy; the LPF filtering), and "propagate" to the time of
+    time spent on it alone (a bank's refinement and its position solves; a
+    rate's position solves), each estimator family ("ctma", "sampling") to
+    the time of the per-trace stage its points share (the windowed energy;
+    the LPF with every rate's sampling), and "propagate" to the time of
     every `propagate` call, noise included (see `stage_seconds`).
     """
     prep = prepare(cfg)

@@ -216,6 +216,24 @@ def test_dump_traces_flag(cfg_path, tmp_path, command):
     assert len(list((out / "traces").iterdir())) == 3
 
 
+def test_out_naming_an_existing_file_is_a_config_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --out" in err and str(out) in err
+
+
+@pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])
+def test_dump_traces_into_a_file_is_a_config_error(cfg_path, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "traces").write_text("")
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--dump-traces"]
+    assert main(argv) == 2
+    assert "configuration error: --dump-traces" in capsys.readouterr().err
+
+
 def test_runtime_failure_maps_to_exit_3(cfg_path, tmp_path, monkeypatch, capsys):
     def boom(cfg, dump_dir=None):
         raise SimulationError("numeric blow-up")

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwave_tdoa import (
     ChannelSpec,
@@ -18,8 +20,9 @@ from mmwave_tdoa import (
     sampling_toa,
     transmit_psd,
 )
-from mmwave_tdoa.channel import PathCache, _fast_length
-from mmwave_tdoa.detector import _windowed_energy
+from mmwave_tdoa import detector
+from mmwave_tdoa.channel import PathCache
+from mmwave_tdoa.detector import _lpf_kernel, _windowed_energy, sampling_toas
 from mmwave_tdoa.harness import prepare
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
@@ -251,26 +254,87 @@ def _interp_sampling_toa(filtered: SignalTrace, f_s: float) -> float:
     return float(t_samples[int(np.argmax(values))])
 
 
+DESK_RATES = (300e9, 600e9, 1000e9)
+
+
 @pytest.fixture(scope="module")
-def desk_lpf_outputs():
-    """LPF outputs of noisy received traces of the desk config (one path,
-    three noise seeds)."""
+def desk_traces():
+    """Noisy received traces of the desk config (one path, three noise
+    seeds) and the config's pulse duration."""
     cfg = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
     prep = prepare(cfg)
+    assert cfg.sampling_rates == DESK_RATES
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
     power = noise_variance(spec, prep.table, psd)
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
-    return [
-        lpf_approximation(propagate(cache, spec, seed=seed, noise_power=power), prep.t_p)
-        for seed in (0, 1, 2)
-    ]
+    traces = [propagate(cache, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
+    return traces, prep.t_p
 
 
-@pytest.mark.parametrize("f_s", [300e9, 600e9, 1000e9, 1.0 / STEP])  # desk rates, grid rate
-def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_lpf_outputs, f_s):
-    for filtered in desk_lpf_outputs:
+@pytest.mark.parametrize("f_s", [*DESK_RATES, 1.0 / STEP])  # desk rates, grid rate
+def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_traces, f_s):
+    traces, t_p = desk_traces
+    for filtered in (lpf_approximation(trace, t_p) for trace in traces):
         assert sampling_toa(filtered, f_s) == _interp_sampling_toa(filtered, f_s)
+
+
+GRID_RATE = 1.0 / STEP
+RATES = st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2_001, 25_000),  # every rate above 10 GHz has a sample
+    start=st.sampled_from([0.0, 0.3 * STEP]),
+    pulse=st.none() | st.floats(0.0, 1.0) | st.integers(-2, 2),
+    noise=st.sampled_from([0.0, 1e-3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    rates=st.lists(RATES, min_size=1, max_size=4),
+)
+@example(n=20_000, start=0.0, pulse=None, noise=1.0, seed=1, rates=[600e9])  # noise only
+@example(n=20_000, start=0.0, pulse=None, noise=0.0, seed=0, rates=[300e9, GRID_RATE])  # all zero
+@example(n=20_000, start=0.0, pulse=0.0, noise=0.0, seed=0, rates=[1e12])  # at the window start
+@example(n=20_000, start=0.0, pulse=1.0, noise=0.0, seed=0, rates=[1e12, GRID_RATE])  # at its end
+@example(n=20_000, start=0.0, pulse=0, noise=0.0, seed=0, rates=[GRID_RATE, 600e9])  # block edge
+@example(n=20_000, start=0.0, pulse=-1, noise=1e-3, seed=2, rates=[GRID_RATE])
+@example(n=2, start=0.0, pulse=1.0, noise=0.0, seed=0, rates=[GRID_RATE, 1e10])  # one block
+def test_sampling_toas_match_sampling_the_whole_lpf_output(
+    tp2, n, start, pulse, noise, seed, rates
+):
+    """pulse: None for no pulse, a float for a pulse at that fraction of the
+    trace, an int d for an impulse whose LPF peak falls d grid points after
+    the first block edge. The last point of the trace is sampled with j
+    clipped to n - 2, and every value ties on an all-zero trace."""
+    rng = np.random.default_rng(seed)
+    samples = noise * rng.normal(size=n)
+    if isinstance(pulse, float):
+        samples += place_pulse(2, 200e9, pulse * (n - 1) * STEP, STEP, n).samples
+    elif pulse is not None:
+        n_kernel, _, spectrum = _lpf_kernel(tp2, STEP)
+        edge = 2 * (spectrum.size - 1) - n_kernel + 1
+        lag = int(round(tp2 / 1.4615 / STEP))  # where the kernel peaks
+        samples[min(max(edge + pulse - lag, 0), n - 1)] += 1.0
+    v = SignalTrace(start, STEP, samples)
+    filtered = lpf_approximation(v, tp2)
+    assert sampling_toas(v, tp2, rates) == [sampling_toa(filtered, f_s) for f_s in rates]
+
+
+def test_sampling_toas_filter_only_the_blocks_around_a_desk_peak(desk_traces, monkeypatch):
+    """A lost prune would show only as a slowdown; here it fails."""
+    made = []
+
+    class Recording(detector._BlockLpf):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(detector, "_BlockLpf", Recording)
+    traces, t_p = desk_traces
+    for trace in traces:
+        sampling_toas(trace, t_p, DESK_RATES)
+    assert len(made) == len(traces)
+    assert all(lpf.count >= 30 and 1 <= lpf.done.sum() <= 3 for lpf in made)
 
 
 def test_matched_resolution_agreement(tp2):
@@ -328,8 +392,27 @@ def test_lpf_with_cached_kernel_matches_an_uncached_kernel(tp2):
     n_kernel = int(np.ceil(20.0 / (beta * STEP)))
     t = np.arange(n_kernel) * STEP
     kernel = beta * beta * t * np.exp(-beta * t)
+    length = 1 << max(12, (2 * n_kernel).bit_length())  # overlap-save blocks
+    assert length == 8192
+    block = length - n_kernel + 1
+    n = v.samples.size
+    squared = np.concatenate([np.zeros(n_kernel - 1), v.samples * v.samples, np.zeros(length)])
+    blocks = [
+        np.fft.irfft(np.fft.rfft(squared[a : a + length]) * np.fft.rfft(kernel, length), length)
+        for a in range(0, n, block)
+    ]
+    out = np.concatenate([b[n_kernel - 1 :] for b in blocks])[:n]
+    assert np.array_equal(first.samples, out * STEP)
+
+
+def test_lpf_blocks_match_one_full_length_convolution(tp2):
+    v = place_pulse(2, 200e9, 4.321e-9, STEP, N_OB)
+    v.samples[:] += np.random.default_rng(5).normal(scale=1e-2, size=N_OB)
+    beta = 1.4615 / tp2
+    t = np.arange(int(np.ceil(20.0 / (beta * STEP)))) * STEP
+    kernel = beta * beta * t * np.exp(-beta * t)
     squared = v.samples * v.samples
-    nfft = _fast_length(squared.size + n_kernel)
-    assert nfft == 202_500
-    out = np.fft.irfft(np.fft.rfft(squared, nfft) * np.fft.rfft(kernel, nfft), nfft)
-    assert np.array_equal(first.samples, out[: squared.size] * STEP)
+    nfft = 1 << (squared.size + kernel.size).bit_length()
+    full = np.fft.irfft(np.fft.rfft(squared, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    blocks = lpf_approximation(v, tp2).samples
+    assert np.max(np.abs(blocks - full[: squared.size] * STEP)) <= 1e-12 * np.max(blocks)

@@ -8,7 +8,7 @@ import pytest
 
 from mmwave_tdoa import ChannelSpec, noise_variance, propagate, transmit_psd
 from mmwave_tdoa.channel import PathCache
-from mmwave_tdoa.detector import _windowed_energy, lpf_approximation
+from mmwave_tdoa.detector import _windowed_energy, sampling_toas
 from mmwave_tdoa.harness import ExperimentConfig, prepare
 
 
@@ -17,7 +17,7 @@ from mmwave_tdoa.harness import ExperimentConfig, prepare
 )
 def test_noisy_trace_faults_in_under_one_trace_of_pages():
     """After two warm-up traces, one noisy desk trace's propagate, windowed
-    energy and LPF output fault in fewer fresh pages than one trace holds.
+    energy and sampling TOAs fault in fewer fresh pages than one trace holds.
     Allocating every stage's arrays from fresh mappings, as before
     `_keep_heap_pages`, faults in about 16 traces' worth (6.2k pages)."""
     cfg = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
@@ -28,7 +28,8 @@ def test_noisy_trace_faults_in_under_one_trace_of_pages():
 
     def stages(seed):
         trace = propagate(cache, spec, seed=seed, noise_power=power)
-        return [trace, _windowed_energy(trace, prep.t_p), lpf_approximation(trace, prep.t_p)]
+        energy = _windowed_energy(trace, prep.t_p)
+        return [trace, energy, sampling_toas(trace, prep.t_p, cfg.sampling_rates)]
 
     stages(seed=0)
     stages(seed=1)
