@@ -99,48 +99,48 @@ def main(argv=None) -> int:
                 print(f"  sampling rate {f_s:.4e} Hz")
             return 0
 
-        dump_dir = args.out / "traces" if args.dump_traces else None
-        try:
-            _run(args.command, cfg, args.out, dump_dir)
-        except OSError as exc:
-            # Inputs are read (and their errors named) before any write.
-            written = Path(exc.filename or args.out)
-            flag = "--dump-traces" if dump_dir in (written, *written.parents) else "--out"
-            raise ConfigurationError(f"{flag}: cannot write {written}: {exc.strerror}") from exc
+        out = args.out
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        dump_dir = out / "traces" if args.dump_traces else None
+
+        if args.command == "simulate-toa":
+            rows, timings = toa_sweep(cfg, dump_dir=dump_dir)
+            write_rows_csv(rows, out / "toa_vs_alpha.csv")
+            print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
+        else:
+            trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
+            write_rows_csv(trial_rows(trials), out / "trials.csv")
+            write_summary_json(summary, out / "summary.json")
+            rows = summary["results"]
+            if args.command == "sweep":
+                rows = [
+                    {
+                        **row,
+                        "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
+                        "shared_s": timings[row["estimator"]],
+                    }
+                    for row in rows
+                ]
+                write_rows_csv(rows, out / "sweep.csv")
+            for row in rows:
+                print(_format_row(row))
+        _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Reading the config and the absorption table names its own errors,
+        # so an OSError here comes from a write.
+        written = Path(exc.filename or args.out)
+        flag = "--dump-traces" if args.out / "traces" in (written, *written.parents) else "--out"
+        reason = exc.strerror or exc
+        print(f"configuration error: {flag}: cannot write {written}: {reason}", file=sys.stderr)
+        return 2
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
-
-
-def _run(command: str, cfg: ExperimentConfig, out: Path, dump_dir: Path | None) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    if command == "simulate-toa":
-        rows, timings = toa_sweep(cfg, dump_dir=dump_dir)
-        write_rows_csv(rows, out / "toa_vs_alpha.csv")
-        print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
-    else:
-        trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
-        write_rows_csv(trial_rows(trials), out / "trials.csv")
-        write_summary_json(summary, out / "summary.json")
-        rows = summary["results"]
-        if command == "sweep":
-            rows = [
-                {
-                    **row,
-                    "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
-                    "shared_s": timings[row["estimator"]],
-                }
-                for row in rows
-            ]
-            write_rows_csv(rows, out / "sweep.csv")
-        for row in rows:
-            print(_format_row(row))
-    _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
 
 
 def _write_meta(out: Path, wall_time: float, stage_s: dict) -> None:
