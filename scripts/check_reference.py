@@ -7,9 +7,11 @@ Runs each benchmark workload's config for every config seed in the pool
 (see `bench/run.py`) once, in this process through `cli.main`, with the
 outputs in a temporary directory. Each run's byte-stable outputs are
 hashed and compared with `bench/reference.json` by the benchmark's own
-gate (`run.compare_reference`). Prints every mismatch and exits 1 if there is
-any, 0 otherwise. Nothing under `bench/` is written. An exact change (one
-that must not move any output) passes this before it is benchmarked.
+gate (`run.compare_reference`). Prints every mismatch, one line per
+workload with its mismatch count and elapsed seconds, and the total; exits
+1 if there is any mismatch, 0 otherwise. Nothing under `bench/` is
+written. An exact change (one that must not move any output) passes this
+before it is benchmarked.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -51,12 +54,17 @@ def main() -> int:
     reference = run.load_reference().get("workloads", {})
     checked, mismatches = 0, 0
     for name, workload in sorted(run.WORKLOADS.items()):
+        started, failed = time.perf_counter(), 0
         for seed in range(run.REFERENCE_SEEDS):
             problems = check(name, workload, seed, reference)
-            checked += 1
             if problems:
-                mismatches += 1
+                failed += 1
                 print(f"{name} seed {seed}: {'; '.join(problems)}", flush=True)
+        elapsed = time.perf_counter() - started
+        print(f"{name}: {failed} mismatches out of {run.REFERENCE_SEEDS} "
+              f"in {elapsed:.1f} s", flush=True)
+        checked += run.REFERENCE_SEEDS
+        mismatches += failed
     print(f"{mismatches} mismatches out of {checked}")
     return 1 if mismatches else 0
 

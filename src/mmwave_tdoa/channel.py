@@ -191,11 +191,19 @@ def _require_band_covered(table: AbsorptionTable, band: tuple[float, float]) -> 
 
 def transmit_psd(pulse: SignalTrace, band: tuple[float, float], power: float):
     """One-sided PSD of the transmitted pulse, scaled so its integral over
-    the band equals the pulse power. Returns (frequencies, psd)."""
+    the band equals the pulse power. Returns (frequencies, psd). Raises
+    ConfigurationError if the pulse has no measurable power in the band
+    (a band narrower than the spectrum's bin spacing holds fewer than two
+    bins)."""
     freqs, density = power_spectrum(pulse)
     in_band = (freqs >= band[0]) & (freqs <= band[1])
-    scale = power / np.trapezoid(density[in_band], freqs[in_band])
-    return freqs, density * scale
+    integral = np.trapezoid(density[in_band], freqs[in_band])
+    if not (np.isfinite(integral) and integral > 0.0):
+        raise ConfigurationError(
+            f"the pulse spectrum, sampled every {freqs[1] - freqs[0]:.3e} Hz, has no "
+            f"measurable power in the band [{band[0]:.3e}, {band[1]:.3e}] Hz"
+        )
+    return freqs, density * (power / integral)
 
 
 def noise_background_psd(spec: ChannelSpec, k: np.ndarray) -> np.ndarray:
@@ -312,6 +320,21 @@ def arrival_start(pulse: SignalTrace, distance: float, window: float) -> float:
     return start
 
 
+PHASE_BLOCK = 512  # bins per row of the delay-phase table
+
+
+def _delay_phase(nfft: int, step: float, delay: float) -> np.ndarray:
+    """exp(-2 pi i f delay) on the rfft bins f = k / (nfft step), as the
+    product hi[k // B] * lo[k % B] of two tables of at most B = PHASE_BLOCK
+    exponentials: equal to the per-bin exponential to rounding (both carry
+    an error of a few eps times the phase), at a fraction of its cost."""
+    bins = nfft // 2 + 1
+    turn = -2j * np.pi * delay / (nfft * step)  # phase per bin
+    lo = np.exp(turn * np.arange(min(bins, PHASE_BLOCK)))
+    hi = np.exp((turn * PHASE_BLOCK) * np.arange(-(-bins // PHASE_BLOCK)))
+    return np.multiply.outer(hi, lo).ravel()[:bins]
+
+
 class PathCache:
     """The parts of `propagate` that no noise seed changes, for one pulse,
     absorption table and observation window.
@@ -345,9 +368,9 @@ class PathCache:
             start = arrival_start(self.pulse, spec.distance, self.window)
             amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
             response = amplitude * np.exp(self.absorption * spec.distance)
-            freqs = np.fft.rfftfreq(self.nfft, self.pulse.step)
-            shift = np.exp(-2j * np.pi * freqs * start)
-            product = self.spectrum * response * shift
+            product = self.spectrum * response
+            del response
+            product *= _delay_phase(self.nfft, self.pulse.step, start)
             received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
             received.flags.writeable = False
             self._clean[spec] = received

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwave_tdoa import (
     C0,
@@ -17,14 +19,18 @@ from mmwave_tdoa import (
     transmit_psd,
 )
 from mmwave_tdoa.channel import (
+    PHASE_BLOCK,
     PathCache,
     _band_limited_noise,
+    _delay_phase,
     _fast_length,
     _noise_kernel_spectrum,
     noise_background_psd,
     noise_self_psd,
 )
 from mmwave_tdoa.harness import default_absorption_path
+
+from conftest import T_OB
 
 BAND = (100e9, 300e9)
 
@@ -294,6 +300,74 @@ def test_a_path_that_fails_its_checks_raises_on_every_call(pulse2, lossless_tabl
         for seed in (0, 1):
             with pytest.raises(ConfigurationError, match=message):
                 propagate(cache, spec, seed, 0.0)
+
+
+# --------------------------------------------------------------- delay phase
+
+STEP = 5e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nfft=st.integers(1, 3 * PHASE_BLOCK) | st.integers(1, 300_000),
+    delay=st.floats(0.0, T_OB),
+)
+@example(nfft=204_800, delay=T_OB)  # the desk grid at its longest delay
+@example(nfft=2 * (PHASE_BLOCK - 1), delay=T_OB)  # exactly one block of bins
+@example(nfft=2 * PHASE_BLOCK, delay=T_OB)  # one bin past a whole block
+@example(nfft=1, delay=0.0)  # a single bin
+def test_delay_phase_matches_the_per_bin_exponential(nfft, delay):
+    """The two-table phase equals exp(-2 pi i f delay) on every rfft bin to
+    a few eps of the phase it carries, for sizes below, at and off a
+    multiple of the table block."""
+    reference = np.exp(-2j * np.pi * np.fft.rfftfreq(nfft, STEP) * delay)
+    phase = _delay_phase(nfft, STEP, delay)
+    assert phase.shape == reference.shape
+    turns = 2.0 * np.pi * np.arange(reference.size) / (nfft * STEP) * delay
+    tolerance = 8.0 * np.finfo(float).eps * (1.0 + turns)
+    assert np.all(np.abs(phase - reference) <= tolerance)
+
+
+def _per_bin_clean(cache: PathCache, spec: ChannelSpec) -> np.ndarray:
+    """Reference clean waveform: H(f, R) with one complex exponential per bin."""
+    freqs = np.fft.rfftfreq(cache.nfft, cache.pulse.step)
+    start = spec.distance / C0 + cache.pulse.start_time
+    amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
+    response = amplitude * np.exp(-0.5 * cache.table.coefficient(freqs) * spec.distance)
+    product = cache.spectrum * response * np.exp(-2j * np.pi * freqs * start)
+    return np.fft.irfft(product, cache.nfft)[: cache.n_out]
+
+
+@pytest.mark.parametrize("r", [0.01, 0.37, 1.3, 2.83])
+def test_clean_trace_matches_the_per_bin_exponential(pulse2, flat_table, r):
+    cache = PathCache(pulse2, flat_table, window=T_OB)
+    rx = propagate(cache, spec_at(r), seed=0, noise_power=0.0)
+    reference = _per_bin_clean(cache, spec_at(r))
+    peak = np.max(np.abs(reference))
+    assert np.max(np.abs(rx.samples - reference)) <= 1e-11 * peak
+
+
+def test_a_path_runs_one_transform_on_first_use_and_none_after(
+    pulse2, flat_table, monkeypatch
+):
+    cache = PathCache(pulse2, flat_table, window=T_OB)
+    calls = []
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    propagate(cache, spec_at(1.0), seed=0, noise_power=0.0)
+    assert calls == ["irfft"]
+    propagate(cache, spec_at(1.0), seed=1, noise_power=0.0)
+    assert calls == ["irfft"]
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,33 @@ def test_non_finite_absorption_is_a_config_error_naming_its_row(
     cfg_file.write_text(json.dumps({**cfg, "species_fractions": fractions}))
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     assert "row 3: non-finite" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def narrow_band_cfg(tmp_path):
+    """A band narrower than the pulse PSD's 305 MHz bin spacing."""
+    path = tmp_path / "narrow.json"
+    cfg = {**TINY_CFG, "n_positions": 1, "n_runs": 1, "band": [100e9, 100.1e9]}
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+def test_a_band_without_pulse_power_names_band_without_a_warning(
+    narrow_band_cfg, tmp_path, capsys, command
+):
+    argv = [command, "--config", str(narrow_band_cfg), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "configuration error: band: " in capsys.readouterr().err
+
+
+def test_a_band_without_pulse_power_runs_without_noise(narrow_band_cfg, tmp_path):
+    argv = ["simulate-tdoa", "--config", str(narrow_band_cfg), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--no-noise"]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])

@@ -18,7 +18,6 @@ from mmwave_tdoa import (
     noise_variance,
     propagate,
     sampling_toa,
-    transmit_psd,
 )
 from mmwave_tdoa import detector
 from mmwave_tdoa.channel import PathCache
@@ -265,8 +264,7 @@ def desk_traces():
     prep = prepare(cfg)
     assert cfg.sampling_rates == DESK_RATES
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
-    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
-    power = noise_variance(spec, prep.table, psd)
+    power = noise_variance(spec, prep.table, prep.psd)
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     traces = [propagate(cache, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
     return traces, prep.t_p
