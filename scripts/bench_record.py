@@ -4,9 +4,12 @@
     python3 scripts/bench_record.py --parent DIR --out BENCH_N.json \\
         [--seconds 15] [--seed 7]
 
-Run from the root of the change's checkout; DIR is a checkout of the
-parent commit (made with `git archive` or `git clone`). For every
-benchmark workload the script
+Run from the root of the change's checkout, with the change committed:
+the record names the checkout's HEAD as the change, so the script exits 1,
+listing the files, while `src/` or `bench/` differ from it. DIR is a
+checkout of the parent commit (made with `git archive` or `git clone`); a
+`git archive` copy has no `.git`, so its commit is recorded as
+"unavailable". For every benchmark workload the script
 
 - runs `bench/run.py --trace 0` in the two checkouts in ten alternating
   pairs (the parent first in even pairs, the change first in odd ones),
@@ -136,6 +139,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
+    dirty = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no", "--", "src", "bench"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    if dirty:
+        raise SystemExit(f"commit the change first; uncommitted under src/ or bench/:\n{dirty}")
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     record = {
         "command": (

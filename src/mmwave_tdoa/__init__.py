@@ -12,7 +12,6 @@ from .channel import (
 from .detector import (
     DetectorBankConfig,
     ToaEstimate,
-    ctma_output,
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
@@ -56,7 +55,6 @@ __all__ = [
     "ToaTriplet",
     "TrialResult",
     "aede",
-    "ctma_output",
     "effective_duration",
     "generate_pulse",
     "half_power_band",

@@ -11,7 +11,10 @@ Every pass ranks slots on the same windowed-energy output (the integration
 window is the pulse duration throughout; only the observation slots
 shrink), so the refinement provably converges on the dense-grid peak:
 noise-free or not, the returned estimate equals delta * floor(t*/delta)
-with t* the dense-grid argmax and delta the final resolution.
+with t* the dense-grid argmax and delta the final resolution. The largest
+held maximum of a pass is the maximum over the union of its slots, and the
+earliest slot holding it (a tie goes to the earlier slot) is the slot of
+that union's first maximum, so each pass takes one argmax over its slots.
 
 The sampling baseline needs only the time of the largest sample of the
 low-pass output, and its kernel is non-negative, so `sampling_toas` filters
@@ -19,6 +22,7 @@ block by block and only where that maximum can be (see its docstring).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -100,27 +104,6 @@ def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     return SignalTrace(start_time=v.start_time, step=v.step, samples=energy)
 
 
-def ctma_output(
-    v: SignalTrace, t_win: float, interval: tuple[float, float]
-) -> tuple[float, float]:
-    """Max of the trailing-window energy over [t_start, t_end], and the grid
-    time achieving it (first achiever on ties, matching a hold capacitor
-    that latches the earliest maximum)."""
-    t_start, t_end = interval
-    if not (t_end > t_start):
-        raise ConfigurationError("interval must have positive length")
-    if t_start - t_win < v.start_time - 0.5 * v.step or t_end > v.end_time + 0.5 * v.step:
-        raise ConfigurationError(
-            "trace does not cover the requested interval plus integration window"
-        )
-    x = _windowed_energy(v, t_win).samples
-    i0, i1 = v.index_range(t_start, t_end + 0.5 * v.step)
-    if i1 <= i0:
-        raise ConfigurationError("interval contains no grid points")
-    k = int(np.argmax(x[i0:i1]))
-    return float(x[i0 + k]), float(v.start_time + (i0 + k) * v.step)
-
-
 @functools.lru_cache(maxsize=4)
 def _lpf_kernel(t_p: float, step: float) -> tuple[int, float, np.ndarray]:
     """The kernel h(t) = beta^2 t exp(-beta t), beta = 1.4615 / t_p, on the
@@ -198,8 +181,10 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     Branch m of a pass owns the slot starting (M - m) slot-widths into the
     current interval (branch indexing runs backwards in time), and the
     branch with the largest held maximum wins; ties go to the larger m,
-    i.e. the earlier slot. The single received trace is re-presented to
-    every pass, delay lines being modeled as ideal.
+    i.e. the earlier slot. The slots tile the grid, so that branch owns the
+    first maximum of `energy` over the pass's slots: each pass takes that
+    one argmax and finds its slot. The single received trace is
+    re-presented to every pass, delay lines being modeled as ideal.
     """
     require_resolvable(cfg, energy.step)
     if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
@@ -212,12 +197,13 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     slot_start = 0.0
     for q in range(1, cfg.stages + 2):
         width = cfg.t_ob / m_count**q
-        best_j, best_val = 0, -np.inf
-        for j in range(m_count):  # j counts slots in time order
-            i0, i1 = energy.index_range(slot_start + j * width, slot_start + (j + 1) * width)
-            val = float(np.max(x[i0:i1])) if i1 > i0 else -np.inf
-            if val > best_val:
-                best_j, best_val = j, val
+        # ends[j]: the end of slot j's index range, where slot j + 1 starts.
+        i0 = energy.index_range(slot_start, slot_start)[0]
+        ends = [
+            energy.index_range(slot_start, slot_start + (j + 1) * width)[1]
+            for j in range(m_count)
+        ]
+        best_j = bisect.bisect_right(ends, i0 + int(np.argmax(x[i0 : ends[-1]])))
         selected.append(m_count - best_j)  # earlier slot = larger branch index
         slot_start += best_j * width
         taus.append(slot_start)

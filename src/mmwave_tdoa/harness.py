@@ -37,7 +37,6 @@ from .channel import (
 from .detector import (
     DetectorBankConfig,
     _windowed_energy,
-    ctma_output,
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
@@ -370,7 +369,9 @@ def _estimator_offsets(tx: SignalTrace, t_p: float) -> tuple[float, float]:
     cal = SignalTrace(
         start_time=tx.start_time - pad * tx.step, step=tx.step, samples=samples
     )
-    _, ctma_peak = ctma_output(cal, t_p, (cal.start_time + t_p, cal.end_time))
+    energy = _windowed_energy(cal, t_p).samples
+    i0, i1 = cal.index_range(cal.start_time + t_p, cal.end_time + 0.5 * cal.step)
+    ctma_peak = cal.start_time + (i0 + int(np.argmax(energy[i0:i1]))) * cal.step
     filtered = lpf_approximation(cal, t_p)
     lpf_peak = filtered.times()[int(np.argmax(filtered.samples))]
     return float(ctma_peak), float(lpf_peak)
@@ -464,16 +465,23 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     every `propagate` call, noise included (see `stage_seconds`).
     """
     prep = prepare(cfg)
-    # (key, offset) per sweep point, in the order of each receiver's TOA
-    # list: banks, then rates.
-    points = [(("ctma", bank.alpha, None), prep.ctma_offset) for bank in prep.banks] + [
-        (("sampling", None, f_s), prep.lpf_offset) for f_s in prep.sampling_rates
+    # (key, offset, field) per sweep point, in the order of each receiver's
+    # TOA list: banks, then rates. With noise any slot or sample can win, so
+    # only the run finds a point too coarse to localize, and names it.
+    points = [
+        (("ctma", b.alpha, None), prep.ctma_offset, f"mq_pairs (alpha {b.alpha})")
+        for b in prep.banks
+    ] + [
+        (("sampling", None, f_s), prep.lpf_offset, f"sampling_rates ({f_s:g} Hz)")
+        for f_s in prep.sampling_rates
     ]
     trials: list[TrialResult] = []
     timings: dict = defaultdict(float)
     for p_idx, r_idx, toas in _run_toas(prep, timings, dump_dir):
-        for (key, offset), taus in zip(points, zip(*toas)):
-            trials.append(_timed(timings, key, _localize, prep, taus, offset, *key, p_idx, r_idx))
+        for (key, offset, field), taus in zip(points, zip(*toas)):
+            at = f"{field}, position {p_idx}, run {r_idx}"
+            args = (prep, taus, offset, *key, p_idx, r_idx)
+            trials.append(_timed(timings, key, _check_field, at, _localize, *args))
     summary = {"config": dataclasses.asdict(cfg), "results": summarize(trials)}
     return trials, summary, dict(timings)
 

@@ -262,6 +262,35 @@ def test_dump_traces_into_a_file_is_a_config_error(cfg_path, tmp_path, capsys, c
     assert "configuration error: --dump-traces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("toa_mode", ["peak", "start-corrected"])
+def test_a_bank_too_coarse_to_localize_names_mq_pairs(tmp_path, capsys, toa_mode):
+    """A (2, 0) bank puts every noiseless TOA at 0 or 5 ns, below the peak
+    offset or one pulse duration; with noise any slot can win, so only the
+    run finds it."""
+    path = tmp_path / "coarse.json"
+    cfg = {"mq_pairs": [[2, 0]], "estimator": "ctma", "noise": False, "n_positions": 2,
+           "n_runs": 1, "toa_mode": toa_mode}
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: mq_pairs (alpha 2), position 0, run 0: " in err
+    assert "Traceback" not in err
+
+
+def test_a_sampling_toa_too_early_to_localize_names_sampling_rates(
+    cfg_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(
+        "mmwave_tdoa.harness.sampling_toas", lambda trace, t_p, rates: [0.0] * len(rates)
+    )
+    argv = ["simulate-tdoa", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--estimator", "sampling"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: sampling_rates (6e+11 Hz), position 0, run 0: " in err
+    assert "Traceback" not in err
+
+
 def test_runtime_failure_maps_to_exit_3(cfg_path, tmp_path, monkeypatch, capsys):
     def boom(cfg, dump_dir=None):
         raise SimulationError("numeric blow-up")

@@ -11,7 +11,7 @@ from mmwave_tdoa import (
     DetectorBankConfig,
     ExperimentConfig,
     SignalTrace,
-    ctma_output,
+    ToaEstimate,
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
@@ -21,7 +21,12 @@ from mmwave_tdoa import (
 )
 from mmwave_tdoa import detector
 from mmwave_tdoa.channel import PathCache
-from mmwave_tdoa.detector import _lpf_kernel, _windowed_energy, sampling_toas
+from mmwave_tdoa.detector import (
+    _lpf_kernel,
+    _windowed_energy,
+    require_resolvable,
+    sampling_toas,
+)
 from mmwave_tdoa.harness import prepare
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
@@ -37,18 +42,31 @@ def bank(m, q, tp2):
 # ----------------------------------------------------------------- ctma core
 
 
+def _energy_peak(trace, t_win, t_start, t_end):
+    """Value and time of the first maximum of the windowed energy over the
+    grid points in [t_start, t_end]."""
+    x = _windowed_energy(trace, t_win).samples
+    i0, i1 = trace.index_range(t_start, t_end + 0.5 * trace.step)
+    k = i0 + int(np.argmax(x[i0:i1]))
+    return x[k], trace.start_time + k * trace.step
+
+
 def test_constant_input_gives_flat_energy():
     c = 0.7
     trace = SignalTrace(0.0, 1e-12, np.full(5000, c))
     t_win = 200e-12
-    value, _ = ctma_output(trace, t_win, (1e-9, 4e-9))
+    x = _windowed_energy(trace, t_win).samples
+    i0, i1 = trace.index_range(1e-9, 4e-9 + 0.5e-12)
+    assert x[i0:i1] == pytest.approx(np.full(i1 - i0, c * c * t_win), rel=1e-9)
+    value, argmax = _energy_peak(trace, t_win, 1e-9, 4e-9)
     assert value == pytest.approx(c * c * t_win, rel=1e-9)
+    assert 1e-9 - 0.5e-12 <= argmax <= 4e-9 + 0.5e-12
 
 
 def test_rectangular_pulse_peaks_at_trailing_edge():
     trace = SignalTrace(0.0, 1e-12, np.zeros(5000))
     trace.samples[1000:1200] = 1.0  # pulse on [1.0, 1.2) ns
-    value, argmax = ctma_output(trace, 200e-12, (0.5e-9, 4e-9))
+    value, argmax = _energy_peak(trace, 200e-12, 0.5e-9, 4e-9)
     assert value == pytest.approx(200e-12, rel=1e-9)
     assert argmax == pytest.approx(1.2e-9, abs=1.5e-12)
 
@@ -58,20 +76,12 @@ def test_max_matches_brute_force_sliding_sum():
     samples = rng.normal(size=4000) ** 2 - 0.5  # arbitrary rough trace
     trace = SignalTrace(0.0, 1e-12, samples)
     w = 137
-    value, argmax = ctma_output(trace, w * 1e-12, (0.2e-9, 3.9e-9))
+    value, argmax = _energy_peak(trace, w * 1e-12, 0.2e-9, 3.9e-9)
     sq = samples * samples
     i0, i1 = trace.index_range(0.2e-9, 3.9e-9 + 0.5e-12)
     direct = np.array([np.sum(sq[max(0, i - w + 1) : i + 1]) for i in range(i0, i1)]) * 1e-12
     assert value == pytest.approx(np.max(direct), rel=1e-3)
     assert argmax == pytest.approx((i0 + np.argmax(direct)) * 1e-12, abs=1e-12)
-
-
-def test_interval_outside_trace_rejected():
-    trace = SignalTrace(0.0, 1e-12, np.ones(100))
-    with pytest.raises(ConfigurationError):
-        ctma_output(trace, 10e-12, (50e-12, 200e-12))
-    with pytest.raises(ConfigurationError):
-        ctma_output(trace, 10e-12, (5e-12, 80e-12))  # window reaches before start
 
 
 # ------------------------------------------------------------------- the lpf
@@ -94,7 +104,7 @@ def test_lpf_zero_in_zero_out(tp2):
 
 def test_lpf_peak_near_windowed_integral_peak(tp2):
     v = place_pulse(2, 200e9, 3.2e-9, STEP, N_OB)
-    _, exact_peak = ctma_output(v, tp2, (tp2, T_OB))
+    exact_peak = windowed_energy_argmax(v, tp2)
     out = lpf_approximation(v, tp2)
     lpf_peak = out.times()[np.argmax(out.samples)]
     assert abs(lpf_peak - exact_peak) <= 0.25 * tp2
@@ -194,6 +204,16 @@ def test_resolvability_guard(tp2):
         iterative_toa(_windowed_energy(v, tp2), bank(10, 5, tp2))  # 1e-14 s < 4 steps
 
 
+def test_trace_must_cover_the_observation_window(tp2):
+    cfg = bank(2, 3, tp2)
+    iterative_toa(SignalTrace(0.0, STEP, np.zeros(N_OB)), cfg)  # covers [0, t_ob]
+    late = SignalTrace(STEP, STEP, np.zeros(N_OB))  # starts after 0
+    short = SignalTrace(0.0, STEP, np.zeros(N_OB - 20))  # ends before t_ob
+    for energy in (late, short):
+        with pytest.raises(ConfigurationError, match="observation window"):
+            iterative_toa(energy, cfg)
+
+
 def test_tie_breaks_toward_earlier_interval(tp2):
     # identical energy bumps in two first-pass slots: the earlier one wins
     v = SignalTrace(0.0, STEP, np.zeros(N_OB))
@@ -203,6 +223,78 @@ def test_tie_breaks_toward_earlier_interval(tp2):
     cfg = bank(5, 0, tp2)
     est = iterative_toa(_windowed_energy(v, tp2), cfg)
     assert est.tau == pytest.approx(2e-9, abs=1e-15)  # slot [2, 4) ns, not [6, 8)
+
+
+def _slot_max_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
+    """Reference bank: every pass takes the maximum of each of its M slots
+    and keeps the first slot with the largest one, as the hold capacitors
+    of the branches compare them."""
+    require_resolvable(cfg, energy.step)
+    if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
+        raise ConfigurationError("trace must cover the observation window [0, t_ob]")
+
+    x = energy.samples
+    m_count = cfg.branches
+    selected: list[int] = []
+    taus: list[float] = []
+    slot_start = 0.0
+    for q in range(1, cfg.stages + 2):
+        width = cfg.t_ob / m_count**q
+        best_j, best_val = 0, -np.inf
+        for j in range(m_count):  # j counts slots in time order
+            i0, i1 = energy.index_range(slot_start + j * width, slot_start + (j + 1) * width)
+            val = float(np.max(x[i0:i1])) if i1 > i0 else -np.inf
+            if val > best_val:
+                best_j, best_val = j, val
+        selected.append(m_count - best_j)  # earlier slot = larger branch index
+        slot_start += best_j * width
+        taus.append(slot_start)
+
+    tau = 0.0
+    for q, m_hat in enumerate(selected, start=1):
+        tau += (m_count - m_hat) * cfg.t_ob / m_count**q
+    return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
+
+
+# Every bank shape the default grid resolves, (2, 0) to the full profile's
+# (2, 13) and (12, 3).
+SHAPES = [(m, q) for m in range(2, 13) for q in range(14) if T_OB / m ** (q + 1) >= 4 * STEP]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    start=st.sampled_from([0.0, -0.3 * STEP]),
+    kind=st.sampled_from(["zero", "integer", "edges", "noise"]),
+    density=st.floats(1e-5, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(2, 0), start=0.0, kind="zero", density=1.0, seed=0)
+@example(shape=(2, 13), start=0.0, kind="edges", density=1.0, seed=1)
+@example(shape=(12, 3), start=-0.3 * STEP, kind="edges", density=1.0, seed=2)
+@example(shape=(12, 3), start=0.0, kind="integer", density=1e-4, seed=3)
+@example(shape=(2, 13), start=0.0, kind="integer", density=0.3, seed=4)
+def test_first_maximum_picks_the_slot_of_the_largest_slot_maximum(
+    tp2, shape, start, kind, density, seed
+):
+    """kind: "zero" ties every point; "integer" draws 0-3 at a density of
+    the points, so exact ties fall across slots; "edges" puts equal spikes
+    on the two grid points either side of random final-cell edges, which
+    are slot edges of every pass; "noise" has no ties."""
+    cfg = bank(*shape, tp2)
+    rng = np.random.default_rng(seed)
+    grid = SignalTrace(start, STEP, np.zeros(N_OB))
+    x = np.zeros(N_OB)
+    if kind == "integer":
+        x = rng.integers(0, 4, N_OB) * (rng.random(N_OB) < density).astype(float)
+    elif kind == "edges":
+        for k in rng.integers(1, cfg.alpha, size=3):
+            i = grid.index_range(k * cfg.resolution, T_OB)[0]
+            x[i - 1 : i + 1] = 1.0
+    elif kind == "noise":
+        x = rng.random(N_OB)
+    energy = SignalTrace(start, STEP, x)
+    assert iterative_toa(energy, cfg) == _slot_max_toa(energy, cfg)
 
 
 # ----------------------------------------------------------- sampling method
@@ -268,6 +360,18 @@ def desk_traces():
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     traces = [propagate(cache, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
     return traces, prep.t_p
+
+
+def test_first_maximum_matches_the_slot_maxima_on_desk_traces_at_every_full_profile_bank(
+    desk_traces,
+):
+    traces, t_p = desk_traces
+    full = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "full_sweep.json")
+    energies = [_windowed_energy(trace, t_p) for trace in traces]
+    for m, q in full.mq_pairs:
+        cfg = DetectorBankConfig(branches=m, stages=q, t_ob=full.t_ob, t_p=t_p)
+        for energy in energies:
+            assert iterative_toa(energy, cfg) == _slot_max_toa(energy, cfg)
 
 
 @pytest.mark.parametrize("f_s", [*DESK_RATES, 1.0 / STEP])  # desk rates, grid rate
