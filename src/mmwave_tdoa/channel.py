@@ -259,27 +259,31 @@ def _noise_kernel_spectrum(
     """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
     of the n-point circular band-pass that keeps the rfft bins inside the
     band. Memoized on its values, and read-only, because every noisy trace
-    of an experiment shares it."""
+    of an experiment shares it: the first noisy trace builds it."""
     freqs = np.fft.rfftfreq(n, step)
     mask = ((freqs >= band[0]) & (freqs <= band[1])).astype(np.float64)
     length = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)
     spectrum.flags.writeable = False
-    _keep_heap_pages(length)
     return length, spectrum
 
 
 def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
-    arrays of up to about n points reuse heap pages.
+    arrays of up to that size reuse heap pages. Its one caller is
+    `PathCache`, for the longest transform a trace runs, the noise's
+    `_fast_length(2 n_out - 1)` points.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold
     to the largest mapped block freed, and gives the heap's free top back to
     the kernel only above twice it. After this call each trace's fresh
     arrays and pocketfft's per-call scratch come from pages the heap keeps,
-    instead of faulting in new ones on every trace. The outputs do not
-    change; other allocators just see one untouched allocation."""
+    instead of faulting in new ones on every trace. The trim threshold is
+    what needs the size: a block of 4 nfft doubles (6.55 MB on the desk
+    grid) also covers every array, but a new position's clean paths then
+    fault in about 3,900 fresh pages. The outputs do not change; other
+    allocators just see one untouched allocation."""
     np.empty(4 * n)
 
 
@@ -340,19 +344,19 @@ class PathCache:
     absorption table and observation window.
 
     On construction: the pulse spectrum and the absorption exponent
-    -0.5 k(f) on the propagation FFT grid, shared by every path, and heap
-    pages kept for a path's transform (`_keep_heap_pages`). On first use
-    of a path: its band and arrival checks and its clean (noise-free)
-    received waveform, shared by every noise run over that path until
-    `forget_paths`. The caller owns the cache; cached arrays are read-only
-    because every trace may share them.
+    -0.5 k(f) on the propagation FFT grid, shared by every path, and the
+    experiment's one block of kept heap pages (`_keep_heap_pages`), sized
+    for the noise's transform. On first use of a path: its band and arrival
+    checks and its clean (noise-free) received waveform, shared by every
+    noise run over that path until `forget_paths`. The caller owns the
+    cache; cached arrays are read-only because every trace may share them.
     """
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
         self.n_out = int(round(window / pulse.step)) + 1
         self.nfft = _fast_length(self.n_out + pulse.samples.size + 4096)
-        _keep_heap_pages(self.nfft)
+        _keep_heap_pages(_fast_length(2 * self.n_out - 1))
         self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
         self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
         self._clean: dict[ChannelSpec, np.ndarray] = {}

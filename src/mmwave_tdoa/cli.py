@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationError
 from .harness import (
+    ESTIMATORS,
     ExperimentConfig,
     prepare,
     run_experiment,
@@ -43,7 +44,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument(
         "--estimator",
-        choices=("ctma", "sampling", "both"),
+        choices=ESTIMATORS,
         help="which estimator family to run",
     )
     parser.add_argument("--no-noise", action="store_true", help="disable channel noise")

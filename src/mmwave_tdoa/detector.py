@@ -194,7 +194,7 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     m_count = cfg.branches
     selected: list[int] = []
     taus: list[float] = []
-    slot_start = 0.0
+    slot_start = tau = 0.0
     for q in range(1, cfg.stages + 2):
         width = cfg.t_ob / m_count**q
         # ends[j]: the end of slot j's index range, where slot j + 1 starts.
@@ -207,10 +207,7 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
         selected.append(m_count - best_j)  # earlier slot = larger branch index
         slot_start += best_j * width
         taus.append(slot_start)
-
-    tau = 0.0
-    for q, m_hat in enumerate(selected, start=1):
-        tau += (m_count - m_hat) * cfg.t_ob / m_count**q
+        tau += best_j * cfg.t_ob / m_count**q  # (M - m_hat) t_ob / M^q
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
 
 

@@ -26,7 +26,6 @@ from .channel import (
     AbsorptionTable,
     ChannelSpec,
     PathCache,
-    _noise_kernel_spectrum,
     _require_band_covered,
     arrival_start,
     ingest_absorption,
@@ -256,7 +255,11 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     table = ingest_absorption(path, cfg.species_fractions)
     _require_band_covered(table, cfg.band)
     tx = generate_pulse(spec, cfg.step)
-    t_p = effective_duration(tx, cfg.energy_fraction)
+    # A pulse_power that underflows the pulse to zero, or overflows its
+    # energy or the calibration traces, fails a check that names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_p = _check_field("pulse_power", effective_duration, tx, cfg.energy_fraction)
+        ctma_offset, lpf_offset = _check_field("pulse_power", _estimator_offsets, tx, t_p)
     psd = None
     if cfg.noise:
         psd = _check_field("band", transmit_psd, tx, cfg.band, cfg.pulse_power)
@@ -268,7 +271,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     use_ctma = cfg.estimator in ("ctma", "both")
     use_sampling = cfg.estimator in ("sampling", "both")
     banks = tuple(
-        DetectorBankConfig(branches=m, stages=q, t_ob=cfg.t_ob, t_p=t_p)
+        _check_field("mq_pairs", DetectorBankConfig, m, q, cfg.t_ob, t_p)
         for m, q in (cfg.mq_pairs if use_ctma else ())
     )
     for bank in banks:
@@ -295,7 +298,6 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         )
 
     positions = _draw_positions(cfg, layout)
-    ctma_offset, lpf_offset = _estimator_offsets(tx, t_p)
     return PreparedExperiment(
         config=cfg,
         table=table,
@@ -389,16 +391,12 @@ def _run_toas(prep: PreparedExperiment, timings, dump_dir):
 
     The pulse spectrum is computed once here, in the `PathCache` that every
     trace shares, and each path's checks and clean waveform once per
-    position (in its first run's `propagate` call). The noise band-pass is
-    memoized in `channel` and built here too. Each trace lives only inside
-    its own `_trace_toas` call, so one received trace is in memory at a time."""
+    position (in its first run's `propagate` call). `channel` keeps the
+    rest of the shared set-up, the noise band-pass, itself. Each trace lives
+    only inside its own `_trace_toas` call, so one received trace is in
+    memory at a time."""
     cfg, psd = prep.config, prep.psd
-    # prep.psd (from `prepare`) exists before the cache keeps its heap
-    # pages: 1.5 MB less desk peak RSS than making it after.
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
-    if psd is not None:
-        # Built before any trace exists, so its temporaries add nothing to the peak.
-        _noise_kernel_spectrum(cache.n_out, prep.tx.step, cfg.band)
     for p_idx, (x, y) in enumerate(prep.positions):
         cache.forget_paths()
         chspecs = [

@@ -28,7 +28,8 @@ DEFAULT_STEP = 5e-14
 @dataclass(frozen=True)
 class PulseSpec:
     """Derivative order, center frequency (Hz), average power (W) over the
-    effective duration, and the energy fraction defining that duration."""
+    effective duration, and the energy fraction defining that duration.
+    Errors name the `ExperimentConfig` field that sets the value at fault."""
 
     order: int
     center_frequency: float
@@ -36,22 +37,19 @@ class PulseSpec:
     energy_fraction_for_duration: float = 0.9999
 
     def __post_init__(self):
-        if self.order < 0 or int(self.order) != self.order:
-            raise ConfigurationError("pulse order must be a non-negative integer")
+        if self.order < 1 or int(self.order) != self.order:
+            raise ConfigurationError(
+                "pulse_order must be a positive integer (order 0 puts the spectral peak at DC)"
+            )
         if not (self.center_frequency > 0.0):
-            raise ConfigurationError("center frequency must be positive")
+            raise ConfigurationError("pulse_center_frequency must be positive")
         if not (self.power > 0.0):
-            raise ConfigurationError("pulse power must be positive")
+            raise ConfigurationError("pulse_power must be positive")
         _require_energy_fraction(self.energy_fraction_for_duration)
 
     @property
     def sigma(self) -> float:
         """Width of the base Gaussian placing the spectral peak at f_c."""
-        if self.order == 0:
-            raise ConfigurationError(
-                "order 0 puts the spectral peak at DC; use order >= 1 "
-                "for a pulse centered at a positive frequency"
-            )
         return math.sqrt(self.order) / (2.0 * math.pi * self.center_frequency)
 
     @property
@@ -63,7 +61,7 @@ class PulseSpec:
 
 def _require_energy_fraction(fraction: float) -> None:
     if not (0.99 <= fraction < 1.0):
-        raise ConfigurationError(f"energy fraction {fraction!r} must lie in [0.99, 1)")
+        raise ConfigurationError(f"energy_fraction {fraction!r} must lie in [0.99, 1)")
 
 
 def gaussian_derivative(t: np.ndarray, p: int, sigma: float) -> np.ndarray:
@@ -81,21 +79,29 @@ def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:
 
     The support extends past the outermost oscillation by 10 sigma, so the
     stored tail is negligible for every energy measure used downstream.
+    Errors name the config field at fault, as `PulseSpec`'s do.
     """
     if not (step > 0.0):
-        raise ConfigurationError("grid step must be positive")
+        raise ConfigurationError("step: the grid step must be positive")
     max_step = 1.0 / (20.0 * spec.center_frequency)
     if step > max_step:
         raise ConfigurationError(
-            f"grid step {step:.3e} s too coarse for f_c = "
+            f"step: grid step {step:.3e} s too coarse for pulse_center_frequency = "
             f"{spec.center_frequency:.3e} Hz; need step <= {max_step:.3e} s"
         )
-    n_half = int(math.ceil(spec.half_width / step))  # raises for order 0
+    n_half = int(math.ceil(spec.half_width / step))
     t = np.arange(-n_half, n_half + 1) * step
 
-    shape = gaussian_derivative(t, spec.order, spec.sigma)
-    unit = SignalTrace(start_time=-n_half * step, step=step, samples=shape)
-    t_p = effective_duration(unit, spec.energy_fraction_for_duration)
+    with np.errstate(over="raise"):
+        try:
+            shape = gaussian_derivative(t, spec.order, spec.sigma)
+            unit = SignalTrace(start_time=-n_half * step, step=step, samples=shape)
+            t_p = effective_duration(unit, spec.energy_fraction_for_duration)
+        except (OverflowError, FloatingPointError):
+            raise ConfigurationError(
+                f"pulse_order {spec.order} at f_c = {spec.center_frequency:.3e} Hz "
+                "overflows double precision in the unit pulse or its energy"
+            ) from None
     # Average power over T_p equals spec.power: total energy = power * T_p.
     amplitude = math.sqrt(spec.power * t_p / unit.energy())
     return SignalTrace(start_time=-n_half * step, step=step, samples=amplitude * shape)
@@ -107,32 +113,23 @@ def effective_duration(trace: SignalTrace, fraction: float) -> float:
     _require_energy_fraction(fraction)
     e = trace.samples * trace.samples
     total = float(np.sum(e))
-    if total <= 0.0:
-        raise ConfigurationError("cannot measure the duration of a zero-energy trace")
-
-    cum = np.cumsum(e)
-    centroid = float(np.sum(np.arange(e.size) * e) / total)
-    ic = int(round(centroid))
+    moment = float(np.sum(np.arange(e.size) * e))
+    if not (total > 0.0 and math.isfinite(moment)):
+        raise ConfigurationError(
+            "cannot measure the duration of a trace whose energy is zero or overflows"
+        )
+    ic = int(round(moment / total))  # the energy centroid's index
     n = e.size
 
-    def contained(m: int) -> float:
-        lo = max(ic - m, 0)
-        hi = min(ic + m, n - 1)
-        below = cum[lo - 1] if lo > 0 else 0.0
-        return float(cum[hi] - below)
-
-    # contained(m) is non-decreasing in m: bisect for the smallest half-width.
-    target = fraction * total
-    lo_m, hi_m = 0, max(ic, n - 1 - ic)
-    if contained(hi_m) < target:
+    # contained[m]: the energy of samples ic - m .. ic + m (clipped to the
+    # trace), non-decreasing in m; the first m to reach the target wins.
+    cum = np.concatenate([[0.0], np.cumsum(e)])  # cum[i]: samples before i
+    m = np.arange(max(ic, n - 1 - ic) + 1)
+    contained = cum[np.minimum(ic + m, n - 1) + 1] - cum[np.maximum(ic - m, 0)]
+    reached = contained >= fraction * total
+    if not reached[-1]:
         return trace.duration
-    while lo_m < hi_m:
-        mid = (lo_m + hi_m) // 2
-        if contained(mid) >= target:
-            hi_m = mid
-        else:
-            lo_m = mid + 1
-    return 2.0 * lo_m * trace.step
+    return 2.0 * int(np.argmax(reached)) * trace.step
 
 
 def spectral_peak(trace: SignalTrace) -> float:

@@ -12,12 +12,15 @@ from mmwave_tdoa import (
     AbsorptionTable,
     ChannelSpec,
     ConfigurationError,
+    PulseSpec,
     SignalTrace,
+    generate_pulse,
     ingest_absorption,
     noise_variance,
     propagate,
     transmit_psd,
 )
+from mmwave_tdoa import channel
 from mmwave_tdoa.channel import (
     PHASE_BLOCK,
     PathCache,
@@ -460,3 +463,21 @@ def test_noise_band_pass_is_cached_by_value_and_read_only():
     assert not kernel.flags.writeable
     with pytest.raises(ValueError):
         kernel[0] = 0.0
+
+
+@pytest.mark.parametrize("step", [0.05e-12, 0.1e-12, 0.25e-12])
+@pytest.mark.parametrize("t_ob", [1e-9, 10e-9, 50e-9])
+def test_the_path_cache_keeps_heap_pages_for_every_per_trace_array(
+    flat_table, monkeypatch, t_ob, step
+):
+    """`PathCache` keeps the one block of heap pages, 4 times the noise's
+    transform length L = `_fast_length(2 n_out - 1)` in doubles. Every
+    per-trace array fits in it, the noise's L doubles and the clean path's
+    nfft, so no second caller is needed."""
+    kept = []
+    monkeypatch.setattr(channel, "_keep_heap_pages", kept.append)
+    pulse = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step)
+    cache = PathCache(pulse, flat_table, window=t_ob)
+    length = _fast_length(2 * cache.n_out - 1)
+    assert kept == [length]
+    assert 4 * length >= cache.nfft

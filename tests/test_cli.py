@@ -358,6 +358,49 @@ def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, fie
     assert field in capsys.readouterr().err
 
 
+DESK_CFG = {
+    **json.loads((Path(__file__).parents[1] / "configs" / "desk_sweep.json").read_text()),
+    "n_positions": 1,
+    "n_runs": 1,
+}
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"pulse_order": 14}, "pulse_order"),  # the unit pulse's squares overflow
+        ({"pulse_order": 20}, "pulse_order"),
+        ({"pulse_order": 50}, "pulse_order"),  # its scale (sigma sqrt 2)^-p overflows
+        ({"pulse_order": 0}, "pulse_order"),
+        ({"pulse_order": -1}, "pulse_order"),
+        ({"pulse_center_frequency": 0}, "pulse_center_frequency"),
+        ({"pulse_power": 0}, "pulse_power"),
+        ({"pulse_power": 1e-300}, "pulse_power"),  # the amplitude underflows to 0
+        ({"pulse_power": 1e300}, "pulse_power"),  # the calibration LPF overflows
+        ({"energy_fraction": 0.5}, "energy_fraction"),
+        ({"energy_fraction": 1.0}, "energy_fraction"),
+        ({"step": 1e-12}, "step"),  # above 1 / (20 f_c)
+        ({"pulse_center_frequency": 5e12}, "step"),
+        ({"mq_pairs": [[1, 3]]}, "mq_pairs"),
+        ({"mq_pairs": [[2, -1]]}, "mq_pairs"),
+        ({"mq_pairs": [[3, 40]]}, "mq_pairs"),
+    ],
+)
+def test_a_bad_pulse_or_bank_field_exits_2_naming_it(
+    tmp_path, capsys, command, override, field
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**DESK_CFG, **override}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {field}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "override, field",
     [
@@ -425,6 +468,10 @@ FIELD_VALUES["guard_radius"] |= st.sampled_from([0.0, GUARD_FLOOR, 0.004, 0.005]
 FIELD_VALUES["toa_position"] |= st.sampled_from(
     [[0.002, 0.002], [0.003, 0.0], [2.0, 0.004], [0.0, 1.997]]
 )
+# pulse_order and pulse_power over their whole range: a high order or an
+# extreme power overflows or underflows the pulse arithmetic.
+FIELD_VALUES["pulse_order"] = st.integers(0, 64) | JUNK
+FIELD_VALUES["pulse_power"] = st.integers(-300, 300).map(lambda k: 10.0**k) | JUNK
 FIELD_VALUES["bogus_key"] = st.integers()
 CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=6).flatmap(
     lambda keys: st.fixed_dictionaries({k: FIELD_VALUES[k] for k in keys})
@@ -434,6 +481,10 @@ CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=
 @given(data=CONFIGS)
 @example(data={"guard_radius": GUARD_FLOOR})
 @example(data={"guard_radius": 0.0, "toa_position": [0.002, 0.002]})
+@example(data={"pulse_order": 14})
+@example(data={"pulse_order": 64})
+@example(data={"pulse_power": 1e-300})
+@example(data={"pulse_power": 1e300})
 @settings(max_examples=60, deadline=None)
 def test_validate_config_never_raises(data):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,8 @@
+import dataclasses
+import platform
+import resource
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,26 +360,39 @@ def test_each_path_is_checked_once_per_position(monkeypatch):
     assert len(calls) == cfg.n_positions * 3
 
 
-def test_noise_band_pass_is_built_once_per_experiment(monkeypatch):
-    """Built before the first trace propagates (so its temporaries add
-    nothing to the peak), then looked up by every noisy trace."""
+def test_noise_band_pass_is_built_once_per_experiment():
+    """Built by the first noisy trace, then looked up by every later one."""
     kernels = channel._noise_kernel_spectrum
-    real = harness.propagate
-    misses_at_first_trace = []
-
-    def spy(*args, **kwargs):
-        if not misses_at_first_trace:
-            misses_at_first_trace.append(kernels.cache_info().misses)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "propagate", spy)
     cfg = ExperimentConfig(**{**TINY, "sampling_rates": ()})
     kernels.cache_clear()
     run_experiment(cfg)
     info = kernels.cache_info()
-    assert misses_at_first_trace == [1]
     assert info.misses == 1
-    assert info.hits == 3 * cfg.n_positions * cfg.n_runs
+    assert info.hits == 3 * cfg.n_positions * cfg.n_runs - 1
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the page reuse relies on glibc's malloc thresholds"
+)
+def test_a_new_position_runs_on_kept_heap_pages(monkeypatch):
+    """Once the first position has run, later positions (new clean paths,
+    then noisy traces) fault in fewer fresh pages in all than one trace
+    holds. With `PathCache` keeping 4 nfft doubles instead of 4 times the
+    noise's transform length, glibc trims the heap top at each position
+    change and every later position faults in about 3,900 pages."""
+    faults = []
+    real = harness.propagate
+
+    def spy(*args, **kwargs):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", spy)
+    desk = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
+    cfg = dataclasses.replace(desk, n_positions=4, n_runs=2)
+    run_experiment(cfg)
+    later = faults[-1] - faults[3 * cfg.n_runs]
+    assert later < int(round(cfg.t_ob / cfg.step) + 1) * 8 // resource.getpagesize()
 
 
 @pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])

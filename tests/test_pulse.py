@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from mmwave_tdoa import (
     half_power_band,
     spectral_peak,
 )
+from mmwave_tdoa.harness import ExperimentConfig
 
 
 def test_spec_validation():
@@ -129,7 +132,7 @@ def test_duration_invariant_under_translation(pulse2, tp2):
 
 def test_duration_rejects_zero_energy():
     zero = SignalTrace(0.0, 1e-12, np.zeros(32))
-    with pytest.raises(ConfigurationError, match="zero-energy"):
+    with pytest.raises(ConfigurationError, match="energy is zero"):
         effective_duration(zero, 0.9999)
 
 
@@ -138,3 +141,60 @@ def test_duration_rejects_bad_fraction(pulse2):
         effective_duration(pulse2, 0.5)
     with pytest.raises(ConfigurationError):
         effective_duration(pulse2, 1.0)
+
+
+def _bisected_duration(trace, fraction):
+    """The bisection `effective_duration` ran before its first-crossing
+    search: the smallest half-width m whose centered energy reaches the
+    target, found by halving [0, max half-width]."""
+    e = trace.samples * trace.samples
+    total = float(np.sum(e))
+    cum = np.cumsum(e)
+    ic = int(round(float(np.sum(np.arange(e.size) * e) / total)))
+    n = e.size
+
+    def contained(m):
+        lo, hi = max(ic - m, 0), min(ic + m, n - 1)
+        return float(cum[hi] - (cum[lo - 1] if lo > 0 else 0.0))
+
+    target = fraction * total
+    lo_m, hi_m = 0, max(ic, n - 1 - ic)
+    if contained(hi_m) < target:
+        return trace.duration
+    while lo_m < hi_m:
+        mid = (lo_m + hi_m) // 2
+        if contained(mid) >= target:
+            hi_m = mid
+        else:
+            lo_m = mid + 1
+    return 2.0 * lo_m * trace.step
+
+
+PACKAGED = Path(__file__).parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "spec, step",
+    [(PulseSpec(order, 100e9, 1e-6), 5e-14) for order in range(1, 14)]
+    + [
+        (
+            PulseSpec(cfg.pulse_order, cfg.pulse_center_frequency, cfg.pulse_power),
+            cfg.step,
+        )
+        for cfg in map(ExperimentConfig.from_file, sorted(PACKAGED.glob("*.json")))
+    ],
+)
+def test_first_crossing_duration_equals_the_bisection(spec, step):
+    """contained(m) is non-decreasing in floating point (cum[hi] rises and
+    the sum below lo falls), so the first m to reach the target is the one
+    bisection finds: t_p is bit-identical."""
+    pulse = generate_pulse(spec, step)
+    for fraction in (0.99, 0.995, 0.9999, 0.9999999):
+        assert effective_duration(pulse, fraction) == _bisected_duration(pulse, fraction)
+
+
+@pytest.mark.parametrize("order", [13, 14, 20, 50, 64])
+def test_an_order_that_overflows_is_rejected_naming_pulse_order(order):
+    with pytest.raises(ConfigurationError, match="^pulse_order") as info:
+        generate_pulse(PulseSpec(order=order, center_frequency=200e9, power=1e-6))
+    assert "overflows double precision" in str(info.value)
