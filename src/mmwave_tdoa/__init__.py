@@ -15,7 +15,6 @@ from .detector import (
     iterative_toa,
     lpf_approximation,
     pulse_start_from_toa,
-    sampling_toa,
     sampling_toas,
 )
 from .errors import ConfigurationError, SimulationError
@@ -65,7 +64,6 @@ __all__ = [
     "propagate",
     "pulse_start_from_toa",
     "run_experiment",
-    "sampling_toa",
     "sampling_toas",
     "solve_position",
     "spectral_peak",

@@ -227,53 +227,47 @@ def _interpolate(v: np.ndarray, pos: np.ndarray, j: np.ndarray) -> np.ndarray:
     return v[j] + (pos - j) * (v[j + 1] - v[j])
 
 
-def sampling_toa(filtered: SignalTrace, f_s: float) -> float:
-    """Nyquist-style baseline: sample the low-pass detector output
-    (`lpf_approximation` of the received trace) at rate f_s (phase anchored
-    at t = 0) and return the time of the largest sample. Each sample
-    interpolates linearly between the two grid points around its instant."""
-    t_samples, pos, j = _sample_instants(filtered, f_s)
-    return float(t_samples[int(np.argmax(_interpolate(filtered.samples, pos, j)))])
-
-
 def sampling_toas(v: SignalTrace, t_p: float, rates) -> list[float]:
-    """`sampling_toa(lpf_approximation(v, t_p), f_s)` for every f_s in
-    rates, filtering only the blocks that can hold some rate's largest
-    sample.
+    """Nyquist-style baseline at every rate f_s in rates: sample the
+    low-pass detector output `lpf_approximation(v, t_p)` at f_s (phase
+    anchored at t = 0), each sample linear between the two grid points
+    around its instant, and return the time of the earliest largest sample.
 
-    A sample between grid points j and j + 1 is at most the larger of the
-    two, so at most the `_BlockLpf.bounds` of the block of j. Blocks are
-    visited in descending bound order. Block b, and b + 1 for the sample
-    after b's last point, is filtered while some rate with samples in b
-    has none yet above b's bound plus 1e-9 times the largest bound, a
-    margin far above the rounding of the bounds and transforms. Every
-    sample left out is then below its rate's maximum, and ties keep the
-    earliest sample, as `np.argmax` does.
+    Only the blocks that can hold a rate's largest sample are filtered. A
+    sample between grid points j and j + 1 is at most the larger of the
+    two, so at most the `_BlockLpf.bounds` of the block of j. Each rate
+    visits blocks in descending bound order and skips those holding none
+    of its samples. It filters block b, and b + 1 for the sample after b's
+    last point, until its largest sample is above b's bound plus 1e-9
+    times the largest bound, a margin far above the rounding of the bounds
+    and transforms. Every sample left out is then below the rate's
+    maximum, and ties keep the earliest sample, as `np.argmax` does. A
+    block filtered for one rate is not filtered again for the next.
     """
     lpf = _BlockLpf(v, t_p)
-    grids = [_sample_instants(v, f_s) for f_s in rates]
-    starts = np.arange(1, lpf.count) * lpf.block
-    edges = [np.concatenate([[0], np.searchsorted(j, starts), [j.size]]) for _, _, j in grids]
-    best = [(-np.inf, 0)] * len(grids)  # per rate: (largest sample, its index)
     bound = lpf.bounds()
     margin = 1e-9 * bound.max()
-    for b in np.argsort(-bound, kind="stable"):
-        open_rates = [r for r, (value, _) in enumerate(best) if not value > bound[b] + margin]
-        if not open_rates:
-            break
-        if all(edges[r][b] == edges[r][b + 1] for r in open_rates):
-            continue
-        lpf.compute(b)
-        if b + 1 < lpf.count:
-            lpf.compute(b + 1)
-        for r, ((_, pos, j), edge) in enumerate(zip(grids, edges)):
-            lo, hi = edge[b], edge[b + 1]
+    order = np.argsort(-bound, kind="stable")
+    starts = np.arange(1, lpf.count) * lpf.block
+    toas = []
+    for f_s in rates:
+        t_samples, pos, j = _sample_instants(v, f_s)
+        edges = np.concatenate([[0], np.searchsorted(j, starts), [j.size]])
+        best, best_k = -np.inf, 0
+        for b in order:
+            if best > bound[b] + margin:
+                break
+            lo, hi = edges[b], edges[b + 1]
             if hi > lo:
+                lpf.compute(b)
+                if b + 1 < lpf.count:
+                    lpf.compute(b + 1)
                 values = _interpolate(lpf.samples, pos[lo:hi], j[lo:hi])
                 k = int(np.argmax(values))
-                if values[k] > best[r][0] or (values[k] == best[r][0] and lo + k < best[r][1]):
-                    best[r] = (values[k], lo + k)
-    return [float(t_samples[k]) for (t_samples, _, _), (_, k) in zip(grids, best)]
+                if values[k] > best or (values[k] == best and lo + k < best_k):
+                    best, best_k = values[k], lo + k
+        toas.append(float(t_samples[best_k]))
+    return toas
 
 
 def require_within_grid_rate(f_s: float, step: float) -> None:

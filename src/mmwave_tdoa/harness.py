@@ -55,19 +55,9 @@ ESTIMATORS = ("ctma", "sampling", "both")
 # the default 10 ns, 0.05 ps grid: every trace, transform and cached
 # spectrum grows with it.
 MAX_GRID_POINTS = 2**24
-
-
-_REAL_FIELDS = (
-    "layout_size",
-    "pulse_center_frequency",
-    "pulse_power",
-    "energy_fraction",
-    "t_ob",
-    "step",
-    "temperature",
-    "guard_radius",
-)
-_INTEGER_FIELDS = ("pulse_order", "n_positions", "n_runs", "seed")
+# Ceiling on n_positions: `prepare` draws every position up front, so an
+# unbounded count never returns.
+MAX_POSITIONS = 2**20
 
 
 def _real(name: str, value) -> float:
@@ -129,10 +119,10 @@ class ExperimentConfig:
     toa_position: tuple[float, float] = (0.5, 0.75)
 
     def __post_init__(self):
-        for name in _REAL_FIELDS:
-            _real(name, getattr(self, name))
-        for name in _INTEGER_FIELDS:
-            _integer(name, getattr(self, name))
+        for field in dataclasses.fields(self):
+            check = {"float": _real, "int": _integer}.get(field.type)
+            if check is not None:
+                check(field.name, getattr(self, field.name))
         if not isinstance(self.noise, bool):
             raise ConfigurationError(f"noise must be true or false, got {self.noise!r}")
         if self.absorption_path is not None and not isinstance(self.absorption_path, str):
@@ -153,9 +143,12 @@ class ExperimentConfig:
         toa_position = _reals("toa_position", self.toa_position, length=2)
 
         if not (self.layout_size > 0.0):
-            raise ConfigurationError("layout size must be positive")
-        if self.n_positions < 1 or self.n_runs < 1:
-            raise ConfigurationError("need at least one position and one run")
+            raise ConfigurationError("layout_size must be positive")
+        for name in ("n_positions", "n_runs"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
+        if self.n_positions > MAX_POSITIONS:
+            raise ConfigurationError(f"n_positions must be at most {MAX_POSITIONS} (2**20)")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         for name in ("t_ob", "step", "temperature"):
@@ -253,7 +246,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     _require_bounded_grid(cfg, spec)
     path = cfg.absorption_path or default_absorption_path()
     table = ingest_absorption(path, cfg.species_fractions)
-    _require_band_covered(table, cfg.band)
+    _check_field("band", _require_band_covered, table, cfg.band)
     tx = generate_pulse(spec, cfg.step)
     # A pulse_power that underflows the pulse to zero, or overflows its
     # energy or the calibration traces, fails a check that names it.
@@ -421,7 +414,9 @@ def _run_toas(prep: PreparedExperiment, timings, dump_dir):
 def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> list[float]:
     """Propagate the received trace of one (position, run, receiver) index
     with its own seed, write it under dump_dir if given, and return its TOA
-    for every bank and then every sampling rate."""
+    at every bank, each ranking its slots on one windowed energy, and then
+    at every sampling rate, from one pass that filters only the LPF blocks
+    some rate's largest sample can lie in."""
     seed = _trace_seed(prep.config.seed, *index)
     trace = _timed(
         timings, "propagate", propagate, cache, spec, seed=seed, noise_power=noise_power
@@ -429,27 +424,17 @@ def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> lis
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
         dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{index[2] + 1}.csv"))
-    return _bank_toas(prep, trace, timings) + _rate_toas(prep, trace, timings)
-
-
-def _bank_toas(prep, trace, timings) -> list[float]:
-    """The trace's TOA at every delay bank; every bank ranks its slots on
-    the same windowed energy."""
-    if not prep.banks:
-        return []
-    energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
-    return [
-        _timed(timings, ("ctma", bank.alpha, None), iterative_toa, energy, bank).tau
-        for bank in prep.banks
-    ]
-
-
-def _rate_toas(prep, trace, timings) -> list[float]:
-    """The trace's TOA at every sampling rate, from one pass that filters
-    only the LPF blocks some rate's largest sample can lie in."""
-    if not prep.sampling_rates:
-        return []
-    return _timed(timings, "sampling", sampling_toas, trace, prep.t_p, prep.sampling_rates)
+    toas = []
+    if prep.banks:
+        energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
+        toas = [
+            _timed(timings, ("ctma", bank.alpha, None), iterative_toa, energy, bank).tau
+            for bank in prep.banks
+        ]
+        del energy  # freed before the LPF allocates
+    if prep.sampling_rates:
+        toas += _timed(timings, "sampling", sampling_toas, trace, prep.t_p, prep.sampling_rates)
+    return toas
 
 
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):

@@ -41,6 +41,8 @@ class PulseSpec:
             raise ConfigurationError(
                 "pulse_order must be a positive integer (order 0 puts the spectral peak at DC)"
             )
+        if self.order > 2**53:  # sigma takes its square root as a float
+            raise ConfigurationError("pulse_order must be at most 2**53")
         if not (self.center_frequency > 0.0):
             raise ConfigurationError("pulse_center_frequency must be positive")
         if not (self.power > 0.0):
@@ -65,13 +67,14 @@ def _require_energy_fraction(fraction: float) -> None:
 
 
 def gaussian_derivative(t: np.ndarray, p: int, sigma: float) -> np.ndarray:
-    # d^p/dt^p exp(-t^2/(2s^2)) = (-1)^p (s*sqrt2)^-p H_p(t/(s*sqrt2)) exp(-t^2/(2s^2))
+    """d^p/dt^p exp(-t^2/(2s^2)) = (-1)^p (s*sqrt2)^-p H_p(x) exp(-x^2), with
+    x = t/(s*sqrt2), less its positive factor (s*sqrt2)^-p. `generate_pulse`
+    scales the shape to its power anyway, and the factor (about 1e148 at
+    order 13 and 200 GHz) would overflow the unit pulse's energy."""
     x = t / (sigma * math.sqrt(2.0))
     coeffs = np.zeros(p + 1)
     coeffs[p] = 1.0
-    hermite = hermval(x, coeffs)
-    scale = (-1.0) ** p * (sigma * math.sqrt(2.0)) ** (-p)
-    return scale * hermite * np.exp(-x * x)
+    return (-1.0) ** p * hermval(x, coeffs) * np.exp(-x * x)
 
 
 def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:

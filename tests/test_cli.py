@@ -369,14 +369,14 @@ DESK_CFG = {
 @pytest.mark.parametrize(
     "override, field",
     [
-        ({"pulse_order": 14}, "pulse_order"),  # the unit pulse's squares overflow
-        ({"pulse_order": 20}, "pulse_order"),
-        ({"pulse_order": 50}, "pulse_order"),  # its scale (sigma sqrt 2)^-p overflows
+        ({"pulse_order": 149}, "pulse_order"),  # the unit pulse's squares overflow
+        ({"pulse_order": 160}, "pulse_order"),
+        ({"pulse_order": 300}, "pulse_order"),  # its Hermite values overflow
         ({"pulse_order": 0}, "pulse_order"),
         ({"pulse_order": -1}, "pulse_order"),
         ({"pulse_center_frequency": 0}, "pulse_center_frequency"),
         ({"pulse_power": 0}, "pulse_power"),
-        ({"pulse_power": 1e-300}, "pulse_power"),  # the amplitude underflows to 0
+        ({"pulse_power": 1e-320}, "pulse_power"),  # the amplitude underflows to 0
         ({"pulse_power": 1e300}, "pulse_power"),  # the calibration LPF overflows
         ({"energy_fraction": 0.5}, "energy_fraction"),
         ({"energy_fraction": 1.0}, "energy_fraction"),
@@ -385,6 +385,13 @@ DESK_CFG = {
         ({"mq_pairs": [[1, 3]]}, "mq_pairs"),
         ({"mq_pairs": [[2, -1]]}, "mq_pairs"),
         ({"mq_pairs": [[3, 40]]}, "mq_pairs"),
+        ({"n_runs": 0}, "n_runs"),
+        ({"n_positions": 0}, "n_positions"),
+        ({"n_positions": 10**400}, "n_positions"),  # drawn up front: it would never return
+        ({"layout_size": 0}, "layout_size"),
+        ({"layout_size": -2}, "layout_size"),
+        ({"band": [1e9, 3e11]}, "band"),  # beyond the absorption table
+        ({"pulse_order": 10**400}, "pulse_order"),  # no float holds it
     ],
 )
 def test_a_bad_pulse_or_bank_field_exits_2_naming_it(
@@ -478,12 +485,46 @@ CONFIGS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=
 )
 
 
-@given(data=CONFIGS)
+# Well-typed values: each field's own JSON type, mostly in range, so most
+# draws pass ExperimentConfig and reach the stages of prepare.
+TYPED_VALUES = {
+    "layout_size": st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    "pulse_order": st.integers(1, 200),
+    "pulse_center_frequency": st.sampled_from([100e9, 200e9, 300e9, 400e9]),
+    "pulse_power": st.integers(-320, 300).map(lambda k: 10.0**k),
+    "energy_fraction": st.floats(0.99, 0.999999),
+    "band": st.sampled_from([[100e9, 300e9], [150e9, 250e9], [50e9, 500e9], [199.9e9, 200.1e9]]),
+    "absorption_path": st.none(),
+    "species_fractions": st.none(),
+    "mq_pairs": st.lists(
+        st.lists(st.integers(2, 12), min_size=2, max_size=2), min_size=1, max_size=3
+    ),
+    "sampling_rates": st.lists(
+        st.sampled_from([100e9, 300e9, 600e9, 1e12, 20e12, 30e12]), min_size=1, max_size=3
+    ),
+    "estimator": st.sampled_from(["ctma", "sampling", "both"]),
+    "n_positions": st.integers(1, 20),
+    "n_runs": st.integers(1, 1000),
+    "seed": st.integers(0, 2**32),
+    "t_ob": st.sampled_from([5e-9, 10e-9, 20e-9]),
+    "step": st.sampled_from([2.5e-14, 5e-14, 1e-13]),
+    "temperature": st.floats(200.0, 400.0),
+    "toa_mode": st.sampled_from(["peak", "start-corrected"]),
+    "r1_mode": st.sampled_from(["known-clock", "quadratic"]),
+    "noise": st.booleans(),
+    "guard_radius": st.sampled_from([0.0, GUARD_FLOOR, 0.01, 0.05, 0.3]),
+    "toa_position": st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+}
+assert set(TYPED_VALUES) == set(ExperimentConfig.__dataclass_fields__)
+TYPED_CONFIGS = st.fixed_dictionaries({}, optional=TYPED_VALUES)
+
+
+@given(data=CONFIGS | TYPED_CONFIGS)
 @example(data={"guard_radius": GUARD_FLOOR})
 @example(data={"guard_radius": 0.0, "toa_position": [0.002, 0.002]})
 @example(data={"pulse_order": 14})
 @example(data={"pulse_order": 64})
-@example(data={"pulse_power": 1e-300})
+@example(data={"pulse_power": 1e-320})
 @example(data={"pulse_power": 1e300})
 @settings(max_examples=60, deadline=None)
 def test_validate_config_never_raises(data):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmwave_tdoa import (
@@ -17,7 +17,6 @@ from mmwave_tdoa import (
     pulse_start_from_toa,
     noise_variance,
     propagate,
-    sampling_toa,
 )
 from mmwave_tdoa import detector
 from mmwave_tdoa.channel import PathCache
@@ -304,7 +303,7 @@ def test_sampling_at_grid_rate_matches_dense_argmax(tp2):
     v = place_pulse(2, 200e9, 2.7182e-9, STEP, 100000)
     out = lpf_approximation(v, tp2)
     dense = out.times()[np.argmax(out.samples)]
-    assert sampling_toa(out, 1.0 / STEP) == pytest.approx(dense, abs=1e-18)
+    assert sampling_toas(v, tp2, [1.0 / STEP])[0] == pytest.approx(dense, abs=1e-18)
 
 
 def test_sampling_quantization_bound(tp2):
@@ -312,7 +311,7 @@ def test_sampling_quantization_bound(tp2):
     v = place_pulse(2, 200e9, 3.3333e-9, STEP, 100000)
     out = lpf_approximation(v, tp2)
     dense = out.times()[np.argmax(out.samples)]
-    assert abs(sampling_toa(out, f_s) - dense) <= 1.0 / f_s
+    assert abs(sampling_toas(v, tp2, [f_s])[0] - dense) <= 1.0 / f_s
 
 
 def test_sampling_worst_error_non_increasing_in_rate(tp2):
@@ -326,7 +325,7 @@ def test_sampling_worst_error_non_increasing_in_rate(tp2):
             v = place_pulse(2, 200e9, t0, STEP, n)
             out = lpf_approximation(v, tp2)
             dense = out.times()[np.argmax(out.samples)]
-            errs.append(abs(sampling_toa(out, f_s) - dense))
+            errs.append(abs(sampling_toas(v, tp2, [f_s])[0] - dense))
         worst.append(max(errs))
     assert worst[0] >= worst[1] >= worst[2]
 
@@ -334,7 +333,14 @@ def test_sampling_worst_error_non_increasing_in_rate(tp2):
 def test_sampling_rejects_super_grid_rate(tp2):
     v = SignalTrace(0.0, STEP, np.ones(1000))
     with pytest.raises(ConfigurationError, match="grid rate"):
-        sampling_toa(lpf_approximation(v, tp2), 2.0 / STEP)
+        sampling_toas(v, tp2, [2.0 / STEP])
+
+
+def _sampled_max_toa(filtered: SignalTrace, f_s: float) -> float:
+    """Reference sampler: every sample of the whole LPF output (the sampler
+    `sampling_toas` replaced, verbatim)."""
+    t_samples, pos, j = detector._sample_instants(filtered, f_s)
+    return float(t_samples[int(np.argmax(detector._interpolate(filtered.samples, pos, j)))])
 
 
 def _interp_sampling_toa(filtered: SignalTrace, f_s: float) -> float:
@@ -378,16 +384,18 @@ def test_first_maximum_matches_the_slot_maxima_on_desk_traces_at_every_full_prof
 def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_traces, f_s):
     traces, t_p = desk_traces
     for filtered in (lpf_approximation(trace, t_p) for trace in traces):
-        assert sampling_toa(filtered, f_s) == _interp_sampling_toa(filtered, f_s)
+        assert _sampled_max_toa(filtered, f_s) == _interp_sampling_toa(filtered, f_s)
 
 
 GRID_RATE = 1.0 / STEP
-RATES = st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE)
+# Below 10 GHz samples lie more than one 6,003-point LPF block apart, so
+# whole blocks hold no sample of the rate.
+RATES = st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE) | st.floats(1e9, 1e10)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(2_001, 25_000),  # every rate above 10 GHz has a sample
+    n=st.integers(2_001, 45_000),
     start=st.sampled_from([0.0, 0.3 * STEP]),
     pulse=st.none() | st.floats(0.0, 1.0) | st.integers(-2, 2),
     noise=st.sampled_from([0.0, 1e-3, 1.0]),
@@ -401,6 +409,8 @@ RATES = st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE)
 @example(n=20_000, start=0.0, pulse=0, noise=0.0, seed=0, rates=[GRID_RATE, 600e9])  # block edge
 @example(n=20_000, start=0.0, pulse=-1, noise=1e-3, seed=2, rates=[GRID_RATE])
 @example(n=2, start=0.0, pulse=1.0, noise=0.0, seed=0, rates=[GRID_RATE, 1e10])  # one block
+# 1 GHz samples in blocks 0, 3, 6 and 9 only; the pulse peaks in block 4 or 5.
+@example(n=60_001, start=0.0, pulse=0.5, noise=1e-3, seed=3, rates=[1e9, 600e9])
 def test_sampling_toas_match_sampling_the_whole_lpf_output(
     tp2, n, start, pulse, noise, seed, rates
 ):
@@ -408,6 +418,8 @@ def test_sampling_toas_match_sampling_the_whole_lpf_output(
     trace, an int d for an impulse whose LPF peak falls d grid points after
     the first block edge. The last point of the trace is sampled with j
     clipped to n - 2, and every value ties on an all-zero trace."""
+    # The trace must hold a sample of every rate (t = 0 is one if it starts there).
+    assume(start == 0.0 or all(start + (n - 1) * STEP >= 1.0 / f_s for f_s in rates))
     rng = np.random.default_rng(seed)
     samples = noise * rng.normal(size=n)
     if isinstance(pulse, float):
@@ -419,7 +431,7 @@ def test_sampling_toas_match_sampling_the_whole_lpf_output(
         samples[min(max(edge + pulse - lag, 0), n - 1)] += 1.0
     v = SignalTrace(start, STEP, samples)
     filtered = lpf_approximation(v, tp2)
-    assert sampling_toas(v, tp2, rates) == [sampling_toa(filtered, f_s) for f_s in rates]
+    assert sampling_toas(v, tp2, rates) == [_sampled_max_toa(filtered, f_s) for f_s in rates]
 
 
 def test_sampling_toas_filter_only_the_blocks_around_a_desk_peak(desk_traces, monkeypatch):
@@ -449,7 +461,7 @@ def test_matched_resolution_agreement(tp2):
         t0 = rng.uniform(1e-9, 9e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         tau_bank = iterative_toa(_windowed_energy(v, tp2), cfg).tau
-        tau_sample = sampling_toa(lpf_approximation(v, tp2), 1.0 / delta)
+        tau_sample = sampling_toas(v, tp2, [1.0 / delta])[0]
         assert abs(tau_bank - tau_sample) <= delta * (1.0 + 1e-9)
 
 

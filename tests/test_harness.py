@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mmwave_tdoa import C0, ConfigurationError, ExperimentConfig, aede, run_experiment
 from mmwave_tdoa import channel, harness
 from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, transmit_psd
-from mmwave_tdoa.detector import lpf_approximation, sampling_toa
+from mmwave_tdoa.detector import sampling_toas
 from mmwave_tdoa.harness import (
     TrialResult,
     _trace_seed,
@@ -156,12 +156,11 @@ def test_prepare_and_sampling_toa_share_the_grid_rate_threshold():
     grid_rate = 1.0 / ExperimentConfig().step
     accepted, rejected = grid_rate * (1.0 + 5e-13), grid_rate * (1.0 + 1e-11)
     prep = prepare(ExperimentConfig(**{**TINY, "sampling_rates": (accepted,)}))
-    filtered = lpf_approximation(prep.tx, prep.t_p)
-    sampling_toa(filtered, accepted)
+    sampling_toas(prep.tx, prep.t_p, [accepted])
     with pytest.raises(ConfigurationError, match="sampling_rates"):
         prepare(ExperimentConfig(**{**TINY, "sampling_rates": (rejected,)}))
     with pytest.raises(ConfigurationError, match="grid rate"):
-        sampling_toa(filtered, rejected)
+        sampling_toas(prep.tx, prep.t_p, [rejected])
 
 
 def test_positions_respect_guard_ring():

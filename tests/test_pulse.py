@@ -38,9 +38,10 @@ def test_step_too_coarse_rejected():
         generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step=1e-12)
 
 
-@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("order", [*range(1, 11), 13, 20, 64])
 def test_spectral_peak_at_center_frequency(order):
     trace = generate_pulse(PulseSpec(order=order, center_frequency=200e9, power=1e-6))
+    assert np.all(np.isfinite(trace.samples))
     assert spectral_peak(trace) == pytest.approx(200e9, rel=0.02)
 
 
@@ -193,7 +194,8 @@ def test_first_crossing_duration_equals_the_bisection(spec, step):
         assert effective_duration(pulse, fraction) == _bisected_duration(pulse, fraction)
 
 
-@pytest.mark.parametrize("order", [13, 14, 20, 50, 64])
+# At 200 GHz the squared Hermite form first overflows at order 149.
+@pytest.mark.parametrize("order", [149, 150, 160, 200, 300])
 def test_an_order_that_overflows_is_rejected_naming_pulse_order(order):
     with pytest.raises(ConfigurationError, match="^pulse_order") as info:
         generate_pulse(PulseSpec(order=order, center_frequency=200e9, power=1e-6))

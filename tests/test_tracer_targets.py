@@ -16,6 +16,7 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # Listed by the tracer, but gone from the package before these tests.
 REMOVED = {
     ("detector", "ctma_output"),
+    ("detector", "sampling_toa"),
     ("harness", "sweep_report"),
     ("harness", "write_trials_csv"),
 }
