@@ -337,8 +337,8 @@ def test_sampling_rejects_super_grid_rate(tp2):
 
 
 def _sampled_max_toa(filtered: SignalTrace, f_s: float) -> float:
-    """Reference sampler: every sample of the whole LPF output (the sampler
-    `sampling_toas` replaced, verbatim)."""
+    """Reference sampler: the time of the largest of every sample of the
+    whole LPF output, each interpolated by grid index."""
     t_samples, pos, j = detector._sample_instants(filtered, f_s)
     return float(t_samples[int(np.argmax(detector._interpolate(filtered.samples, pos, j)))])
 
@@ -390,7 +390,9 @@ def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_traces,
 GRID_RATE = 1.0 / STEP
 # Below 10 GHz samples lie more than one 6,003-point LPF block apart, so
 # whole blocks hold no sample of the rate.
-RATES = st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE) | st.floats(1e9, 1e10)
+RATES = (
+    st.sampled_from([*DESK_RATES, GRID_RATE]) | st.floats(1e10, GRID_RATE) | st.floats(1e9, 1e10)
+)
 
 
 @settings(max_examples=60, deadline=None)
