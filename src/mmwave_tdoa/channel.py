@@ -194,8 +194,10 @@ def transmit_psd(pulse: SignalTrace, band: tuple[float, float], power: float):
     the band equals the pulse power. Returns (frequencies, psd). Raises
     ConfigurationError if the pulse has no measurable power in the band
     (a band narrower than the spectrum's bin spacing holds fewer than two
-    bins)."""
-    freqs, density = power_spectrum(pulse)
+    bins). The spectrum is taken of the pulse's shape at unit peak, so a
+    pulse power near the smallest double does not underflow it."""
+    shape = pulse.samples / np.max(np.abs(pulse.samples))
+    freqs, density = power_spectrum(SignalTrace(pulse.start_time, pulse.step, shape))
     in_band = (freqs >= band[0]) & (freqs <= band[1])
     integral = np.trapezoid(density[in_band], freqs[in_band])
     if not (np.isfinite(integral) and integral > 0.0):
@@ -279,11 +281,9 @@ def _keep_heap_pages(n: int) -> None:
     to the largest mapped block freed, and gives the heap's free top back to
     the kernel only above twice it. After this call each trace's fresh
     arrays and pocketfft's per-call scratch come from pages the heap keeps,
-    instead of faulting in new ones on every trace. The trim threshold is
-    what needs the size: a block of 4 nfft doubles (6.55 MB on the desk
-    grid) also covers every array, but a new position's clean paths then
-    fault in about 3,900 fresh pages. The outputs do not change; other
-    allocators just see one untouched allocation."""
+    instead of faulting in new ones on every trace: without it a noisy
+    desk trace faults in about 6,300 fresh pages. The outputs do not
+    change; other allocators just see one untouched allocation."""
     np.empty(4 * n)
 
 
@@ -339,50 +339,43 @@ def _delay_phase(nfft: int, step: float, delay: float) -> np.ndarray:
     return np.multiply.outer(hi, lo).ravel()[:bins]
 
 
-class PathCache:
-    """The parts of `propagate` that no noise seed changes, for one pulse,
-    absorption table and observation window.
+GUARD = 204.8e-12  # s of zeros on each side of a path's piece: 4,096 steps of 0.05 ps
 
-    On construction: the pulse spectrum and the absorption exponent
-    -0.5 k(f) on the propagation FFT grid, shared by every path, and the
-    experiment's one block of kept heap pages (`_keep_heap_pages`), sized
-    for the noise's transform. On first use of a path: its band and arrival
-    checks and its clean (noise-free) received waveform, shared by every
-    noise run over that path until `forget_paths`. The caller owns the
-    cache; cached arrays are read-only because every trace may share them.
-    """
+
+class PathCache:
+    """The parts of `propagate` that no path or noise seed changes, for one
+    pulse, absorption table and observation window: the pulse spectrum and
+    the absorption exponent -0.5 k(f) at the short transform length
+    L = `_fast_length(pulse + 2 G)`, with G the `GUARD` in grid steps, and
+    the experiment's one block of kept heap pages (`_keep_heap_pages`),
+    sized for the noise's transform. It holds no per-path state."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
         self.n_out = int(round(window / pulse.step)) + 1
-        self.nfft = _fast_length(self.n_out + pulse.samples.size + 4096)
+        self.guard = int(round(GUARD / pulse.step))
+        self.length = _fast_length(pulse.samples.size + 2 * self.guard)
         _keep_heap_pages(_fast_length(2 * self.n_out - 1))
-        self.spectrum = np.fft.rfft(pulse.samples, self.nfft)
-        self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.nfft, pulse.step))
-        self._clean: dict[ChannelSpec, np.ndarray] = {}
+        self.spectrum = np.fft.rfft(pulse.samples, self.length)
+        self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.length, pulse.step))
 
-    def clean(self, spec: ChannelSpec) -> np.ndarray:
-        """Noise-free received samples on [0, window] over the path of spec:
-        the pulse spectrum times H(f, R) of the module docstring, the one
-        place it is applied. The table must cover the band and the whole
-        pulse must arrive inside the window; both are checked on the path's
-        first use, and a path that fails them is never cached."""
-        if spec not in self._clean:
-            _require_band_covered(self.table, spec.band)
-            start = arrival_start(self.pulse, spec.distance, self.window)
-            amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
-            response = amplitude * np.exp(self.absorption * spec.distance)
-            product = self.spectrum * response
-            del response
-            product *= _delay_phase(self.nfft, self.pulse.step, start)
-            received = np.fft.irfft(product, self.nfft)[: self.n_out].copy()
-            received.flags.writeable = False
-            self._clean[spec] = received
-        return self._clean[spec]
-
-    def forget_paths(self) -> None:
-        """Drop the cached clean waveforms (the shared spectra stay)."""
-        self._clean.clear()
+    def piece(self, spec: ChannelSpec) -> tuple[int, np.ndarray]:
+        """The noise-free waveform received over the path of spec, as the
+        grid index i0 of its first point and its L points: the pulse
+        spectrum times H(f, R) of the module docstring, the one place it is
+        applied. i0 lies G steps before the grid point at or below the
+        pulse's arrival, so the phase delays the pulse by G steps and a
+        fraction, and G steps of the piece's end guard its wrap-around. The
+        table must cover the band and the whole pulse must arrive inside
+        the window; both are checked on every call."""
+        _require_band_covered(self.table, spec.band)
+        start = arrival_start(self.pulse, spec.distance, self.window)
+        step = self.pulse.step
+        i0 = math.floor(start / step) - self.guard
+        amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
+        product = self.spectrum * (amplitude * np.exp(self.absorption * spec.distance))
+        product *= _delay_phase(self.length, step, start - i0 * step)
+        return i0, np.fft.irfft(product, self.length)
 
 
 def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> SignalTrace:
@@ -392,16 +385,21 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     The pulse's own time origin is emitted at t = 0, so a waveform feature
     at pulse-frame time u is received at u + R/c0. The delay is applied as
     a spectral phase, which realizes fractional-step delays exactly in the
-    band-limited sense. The clean waveform of a path comes from the cache,
-    checked and computed on its first use. The noise has variance
-    `noise_power` (0 disables it; see noise_variance for the channel's own).
+    band-limited sense. The noise has variance `noise_power` (0 disables
+    it; see noise_variance for the channel's own). The path's clean
+    piece (`PathCache.piece`) is added in place into the noise draw, or
+    into zeros without noise, clipped to the window.
     Deterministic given the seed.
     """
-    step = cache.pulse.step
-    received = cache.clean(spec)
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")
+    i0, piece = cache.piece(spec)
+    step = cache.pulse.step
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        received = received + _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
+        received = _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
+    else:
+        received = np.zeros(cache.n_out)
+    lo, hi = max(i0, 0), min(i0 + piece.size, cache.n_out)
+    received[lo:hi] += piece[lo - i0 : hi - i0]
     return SignalTrace(start_time=0.0, step=step, samples=received)

@@ -383,15 +383,13 @@ def _run_toas(prep: PreparedExperiment, timings, dump_dir):
     and then every sampling rate (see `_trace_toas`).
 
     The pulse spectrum is computed once here, in the `PathCache` that every
-    trace shares, and each path's checks and clean waveform once per
-    position (in its first run's `propagate` call). `channel` keeps the
-    rest of the shared set-up, the noise band-pass, itself. Each trace lives
-    only inside its own `_trace_toas` call, so one received trace is in
-    memory at a time."""
+    trace shares; each `propagate` call checks its path and computes the
+    path's short clean piece itself. `channel` keeps the rest of the shared
+    set-up, the noise band-pass, itself. Each trace lives only inside its
+    own `_trace_toas` call, so one received trace is in memory at a time."""
     cfg, psd = prep.config, prep.psd
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     for p_idx, (x, y) in enumerate(prep.positions):
-        cache.forget_paths()
         chspecs = [
             ChannelSpec(
                 distance=float(d),

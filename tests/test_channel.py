@@ -292,17 +292,17 @@ def test_propagation_rejects_a_pulse_arriving_before_the_window(pulse2, lossless
 
 
 def test_a_path_that_fails_its_checks_raises_on_every_call(pulse2, lossless_table, flat_table):
-    """A path is checked on its first use and cached only if it passes, so
-    an uncovered band or an overlong path raises on every call."""
+    """A path is checked on every call, so an uncovered band or an overlong
+    path raises every time, with or without noise."""
     uncovered = ChannelSpec(distance=1.0, center_frequency=200e9, band=(20e9, 300e9))
     cases = [
         (PathCache(pulse2, flat_table, window=10e-9), uncovered, "must be covered"),
         (PathCache(pulse2, lossless_table, window=5e-9), spec_at(C0 * 9e-9), "at least"),
     ]
     for cache, spec, message in cases:
-        for seed in (0, 1):
+        for seed, power in ((0, 0.0), (1, 1e-16), (0, 0.0)):
             with pytest.raises(ConfigurationError, match=message):
-                propagate(cache, spec, seed, 0.0)
+                propagate(cache, spec, seed, power)
 
 
 # --------------------------------------------------------------- delay phase
@@ -332,13 +332,17 @@ def test_delay_phase_matches_the_per_bin_exponential(nfft, delay):
 
 
 def _per_bin_clean(cache: PathCache, spec: ChannelSpec) -> np.ndarray:
-    """Reference clean waveform: H(f, R) with one complex exponential per bin."""
-    freqs = np.fft.rfftfreq(cache.nfft, cache.pulse.step)
-    start = spec.distance / C0 + cache.pulse.start_time
+    """Reference clean waveform: the whole trace as one product, the pulse
+    spectrum times H(f, R) with one complex exponential per bin, at a fast
+    length that holds the window, the pulse and 4,096 steps of guard."""
+    pulse = cache.pulse
+    nfft = _fast_length(cache.n_out + pulse.samples.size + 4096)
+    freqs = np.fft.rfftfreq(nfft, pulse.step)
+    start = spec.distance / C0 + pulse.start_time
     amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
     response = amplitude * np.exp(-0.5 * cache.table.coefficient(freqs) * spec.distance)
-    product = cache.spectrum * response * np.exp(-2j * np.pi * freqs * start)
-    return np.fft.irfft(product, cache.nfft)[: cache.n_out]
+    product = np.fft.rfft(pulse.samples, nfft) * response * np.exp(-2j * np.pi * freqs * start)
+    return np.fft.irfft(product, nfft)[: cache.n_out]
 
 
 @pytest.mark.parametrize("r", [0.01, 0.37, 1.3, 2.83])
@@ -350,27 +354,56 @@ def test_clean_trace_matches_the_per_bin_exponential(pulse2, flat_table, r):
     assert np.max(np.abs(rx.samples - reference)) <= 1e-11 * peak
 
 
-def test_a_path_runs_one_transform_on_first_use_and_none_after(
-    pulse2, flat_table, monkeypatch
-):
+def test_a_path_runs_one_short_transform_per_propagate(pulse2, flat_table, monkeypatch):
+    """A noiseless trace costs one L-point irfft, L = 9,000 on the desk
+    grid, on every call: no path is cached between calls."""
     cache = PathCache(pulse2, flat_table, window=T_OB)
+    assert (cache.guard, cache.length) == (4096, 9000)
     calls = []
 
     def counting(name):
         real = getattr(np.fft, name)
 
-        def spy(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def spy(a, n=None, *args, **kwargs):
+            calls.append((name, n))
+            return real(a, n, *args, **kwargs)
 
         return spy
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name))
     propagate(cache, spec_at(1.0), seed=0, noise_power=0.0)
-    assert calls == ["irfft"]
+    assert calls == [("irfft", cache.length)]
     propagate(cache, spec_at(1.0), seed=1, noise_power=0.0)
-    assert calls == ["irfft"]
+    assert calls == [("irfft", cache.length)] * 2
+
+
+@pytest.fixture(scope="module")
+def packaged_table():
+    return ingest_absorption(default_absorption_path())
+
+
+@pytest.mark.parametrize("step", [0.05e-12, 0.1e-12, 0.25e-12])
+def test_the_windowed_path_matches_a_16384_step_guard(packaged_table, monkeypatch, step):
+    """The `GUARD` of 0.2 ns (4,096 steps at 0.05 ps, fewer at coarser
+    steps) keeps a path's clean trace on the packaged table within 4e-6 of
+    its peak of the same computation with 16,384 steps of guard, at each
+    step. Measured: 8e-9 for a guard-radius path, whose piece starts before
+    the window, 1.0e-6 at 1.3 m and 2.3e-6 for a path whose pulse ends a
+    step before t_ob, whose piece runs past the window's end."""
+    pulse = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step)
+    cache = PathCache(pulse, packaged_table, window=T_OB)
+    near, far = spec_at(0.01), spec_at((T_OB - pulse.end_time - step) * C0)
+    assert cache.piece(near)[0] < 0
+    assert cache.piece(far)[0] + cache.length > cache.n_out
+    paths = [near, spec_at(1.3), far]
+    traces = [propagate(cache, spec, seed=0, noise_power=0.0).samples for spec in paths]
+    monkeypatch.setattr(channel, "GUARD", 16384 * step)
+    long_cache = PathCache(pulse, packaged_table, window=T_OB)
+    assert long_cache.guard == 16384
+    for spec, trace in zip(paths, traces):
+        reference = propagate(long_cache, spec, seed=0, noise_power=0.0).samples
+        assert np.max(np.abs(trace - reference)) <= 4e-6 * np.max(np.abs(reference))
 
 
 def test_noise_only_run_matches_variance(pulse2, flat_table):
@@ -447,8 +480,8 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
     for seed in (1, 2):
         rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
-    # The clean waveform's irfft, then the noise's rfft and irfft per trace.
-    assert len(lengths) == 5
+    # Per trace: the path piece's irfft, then the noise's rfft and irfft.
+    assert len(lengths) == 6
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 
@@ -472,12 +505,12 @@ def test_the_path_cache_keeps_heap_pages_for_every_per_trace_array(
 ):
     """`PathCache` keeps the one block of heap pages, 4 times the noise's
     transform length L = `_fast_length(2 n_out - 1)` in doubles. Every
-    per-trace array fits in it, the noise's L doubles and the clean path's
-    nfft, so no second caller is needed."""
+    per-trace array fits in it, the noise's L doubles, the trace's n_out
+    and the path piece's `cache.length`, so no second caller is needed."""
     kept = []
     monkeypatch.setattr(channel, "_keep_heap_pages", kept.append)
     pulse = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step)
     cache = PathCache(pulse, flat_table, window=t_ob)
     length = _fast_length(2 * cache.n_out - 1)
     assert kept == [length]
-    assert 4 * length >= cache.nfft
+    assert cache.n_out <= length and cache.length <= length

@@ -408,6 +408,21 @@ def test_a_bad_pulse_or_bank_field_exits_2_naming_it(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("power", [1e-305, 1e-310])
+def test_a_tiny_pulse_power_is_never_reported_as_band(tmp_path, capsys, power):
+    """The band integral is taken on the pulse's shape at unit peak, so a
+    pulse power whose own spectrum would underflow to zero is not reported
+    as a band without pulse power."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**DESK_CFG, "pulse_power": power}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate-config", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 0 or err.startswith("configuration error: pulse_power"), err
+    assert "band" not in err
+
+
 @pytest.mark.parametrize(
     "override, field",
     [

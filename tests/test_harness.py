@@ -342,23 +342,6 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     assert seen == [(p, r, b) for p in range(2) for r in range(3) for b in range(3)]
 
 
-def test_each_path_is_checked_once_per_position(monkeypatch):
-    """The window check (and the band check beside it) runs on a path's
-    first propagation, not on every noise run over it."""
-    real = channel.arrival_start
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(channel, "arrival_start", spy)
-    cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
-    assert cfg.noise
-    run_experiment(cfg)
-    assert len(calls) == cfg.n_positions * 3
-
-
 def test_noise_band_pass_is_built_once_per_experiment():
     """Built by the first noisy trace, then looked up by every later one."""
     kernels = channel._noise_kernel_spectrum
@@ -374,11 +357,9 @@ def test_noise_band_pass_is_built_once_per_experiment():
     platform.libc_ver()[0] != "glibc", reason="the page reuse relies on glibc's malloc thresholds"
 )
 def test_a_new_position_runs_on_kept_heap_pages(monkeypatch):
-    """Once the first position has run, later positions (new clean paths,
-    then noisy traces) fault in fewer fresh pages in all than one trace
-    holds. With `PathCache` keeping 4 nfft doubles instead of 4 times the
-    noise's transform length, glibc trims the heap top at each position
-    change and every later position faults in about 3,900 pages."""
+    """Once the first position has run, later positions (new paths, noisy
+    traces) fault in fewer fresh pages in all than one trace holds, on the
+    block of heap pages that `PathCache` keeps for the noise's transform."""
     faults = []
     real = harness.propagate
 
