@@ -339,7 +339,7 @@ def _delay_phase(nfft: int, step: float, delay: float) -> np.ndarray:
     return np.multiply.outer(hi, lo).ravel()[:bins]
 
 
-GUARD = 204.8e-12  # s of zeros on each side of a path's piece: 4,096 steps of 0.05 ps
+GUARD = 204.8e-12  # s of zero padding each side of a path's pulse: 4,096 steps of 0.05 ps
 
 
 class PathCache:
