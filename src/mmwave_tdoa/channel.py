@@ -85,7 +85,8 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
 
     Two layouts are accepted:
       frequency_hz,k_per_m            -- the summed medium coefficient (no
-                                         mole-fraction map)
+                                         mole-fraction map), read as one
+                                         unnamed species at fraction 1.0
       frequency_hz,species,K_per_m    -- per-species coefficients, combined as
                                          k(f) = sum_j fraction_j * K_j(f) using
                                          the supplied mole-fraction map
@@ -103,33 +104,28 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
         except StopIteration:
             raise ConfigurationError(f"{path}: empty absorption file") from None
         header = [h.strip().lower() for h in header]
+        per_species = header == ["frequency_hz", "species", "k_per_m"]
         if header == ["frequency_hz", "k_per_m"]:
-            per_species = False
             if mole_fractions is not None:
                 raise ConfigurationError(
                     f"{path}: a summed k_per_m table takes no species_fractions map"
                 )
-        elif header == ["frequency_hz", "species", "k_per_m"]:
-            per_species = True
-            if mole_fractions is None:
-                raise ConfigurationError(
-                    f"{path}: per-species table needs a mole-fraction map"
-                )
-        else:
+            mole_fractions = {None: 1.0}
+        elif not per_species:
             raise ConfigurationError(
                 f"{path}: unrecognized header {header!r}; expected "
                 "'frequency_hz,k_per_m' or 'frequency_hz,species,K_per_m'"
             )
+        elif mole_fractions is None:
+            raise ConfigurationError(f"{path}: per-species table needs a mole-fraction map")
 
-        rows = []
+        # species -> its (line number, frequency, coefficient) rows, in file order
+        grids: dict[str | None, list[tuple[int, float, float]]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                if per_species:
-                    freq, species, value = float(row[0]), row[1].strip(), float(row[2])
-                else:
-                    freq, species, value = float(row[0]), None, float(row[1])
+                freq, value = float(row[0]), float(row[1 + per_species])
             except (ValueError, IndexError):
                 raise ConfigurationError(f"{path}: row {lineno}: malformed row {row!r}") from None
             if not (math.isfinite(freq) and math.isfinite(value)):
@@ -138,44 +134,35 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
                 raise ConfigurationError(
                     f"{path}: row {lineno}: negative absorption coefficient {value}"
                 )
-            rows.append((lineno, freq, species, value))
-
-    if per_species:
-        grids: dict[str, list[tuple[int, float, float]]] = {}
-        for lineno, freq, species, value in rows:
+            species = row[1].strip() if per_species else None
             grids.setdefault(species, []).append((lineno, freq, value))
-        reference, k = [], 0.0
-        for species, entries in grids.items():
-            if species not in mole_fractions:
-                raise ConfigurationError(
-                    f"{path}: no mole fraction given for species {species!r}"
-                )
-            _require_increasing(path, entries)
-            freqs = [freq for _, freq, _ in entries]
-            if reference and freqs != reference:
-                raise ConfigurationError(
-                    f"{path}: species {species!r} is not tabulated on the same "
-                    "frequency grid as the others"
-                )
-            reference = freqs
-            k = k + mole_fractions[species] * np.array([value for _, _, value in entries])
-        unknown = sorted(set(mole_fractions) - set(grids))
-        if unknown:
+
+    reference, k = [], 0.0
+    for species, entries in grids.items():
+        if species not in mole_fractions:
+            raise ConfigurationError(f"{path}: no mole fraction given for species {species!r}")
+        _require_increasing(path, entries)
+        freqs = [freq for _, freq, _ in entries]
+        if reference and freqs != reference:
             raise ConfigurationError(
-                f"{path}: species_fractions names species the table does not hold: "
-                + ", ".join(map(repr, unknown))
+                f"{path}: species {species!r} is not tabulated on the same "
+                "frequency grid as the others"
             )
-        freqs = np.array(reference)
-    else:
-        _require_increasing(path, rows)
-        freqs = np.array([freq for _, freq, _, _ in rows])
-        k = np.array([value for _, _, _, value in rows])
-    return AbsorptionTable(frequencies=freqs, k=k)
+        reference = freqs
+        k = k + mole_fractions[species] * np.array([value for _, _, value in entries])
+    # An empty summed table lacks its unnamed species; AbsorptionTable rejects it.
+    unknown = sorted(set(mole_fractions).difference(grids, [None]))
+    if unknown:
+        raise ConfigurationError(
+            f"{path}: species_fractions names species the table does not hold: "
+            + ", ".join(map(repr, unknown))
+        )
+    return AbsorptionTable(frequencies=np.array(reference), k=k)
 
 
-def _require_increasing(path, rows: list[tuple]) -> None:
-    """Reject the first (line number, frequency, ...) row not above the one before."""
-    for previous, (lineno, freq, *_) in zip(rows, rows[1:]):
+def _require_increasing(path, rows: list[tuple[int, float, float]]) -> None:
+    """Reject the first (line number, frequency, k) row not above the one before."""
+    for previous, (lineno, freq, _) in zip(rows, rows[1:]):
         if not freq > previous[1]:
             raise ConfigurationError(f"{path}: row {lineno}: frequencies must strictly increase")
 
@@ -254,16 +241,40 @@ def _fast_length(minimum: int) -> int:
     return best
 
 
+def grid_points(window: float, step: float) -> int:
+    """Points of a received trace on [0, window] at the given step."""
+    return int(round(window / step)) + 1
+
+
+def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
+    """Mask of the n-point rfft bins inside the band. Raises
+    ConfigurationError unless they keep the share 2 (f2 - f1) step of a
+    white sequence's power that `_band_limited_noise` scales by, within
+    1 %: a band above the grid's Nyquist frequency 1 / (2 step), or one
+    that holds few bins or none, keeps another share."""
+    freqs = np.fft.rfftfreq(n, step)
+    mask = (freqs >= band[0]) & (freqs <= band[1])
+    bins = np.count_nonzero(mask)
+    ratio = bins / (n * (band[1] - band[0]) * step)
+    if not abs(ratio - 1.0) <= 0.01:
+        raise ConfigurationError(
+            f"the band [{band[0]:.3e}, {band[1]:.3e}] Hz holds {bins} rfft bins of the "
+            f"{n}-point grid of step {step:.3e} s, {ratio:.4g} times the share "
+            f"2 (f2 - f1) step of the noise power; it must lie below the grid's Nyquist "
+            f"frequency {0.5 / step:.3e} Hz and span many {1.0 / (n * step):.3e} Hz bins"
+        )
+    return mask
+
+
 @functools.lru_cache(maxsize=4)
 def _noise_kernel_spectrum(
     n: int, step: float, band: tuple[float, float]
 ) -> tuple[int, np.ndarray]:
     """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
     of the n-point circular band-pass that keeps the rfft bins inside the
-    band. Memoized on its values, and read-only, because every noisy trace
+    band (`_in_band_bins`, which checks them). Memoized on its values, and read-only, because every noisy trace
     of an experiment shares it: the first noisy trace builds it."""
-    freqs = np.fft.rfftfreq(n, step)
-    mask = ((freqs >= band[0]) & (freqs <= band[1])).astype(np.float64)
+    mask = _in_band_bins(n, step, band).astype(np.float64)
     length = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)
     spectrum.flags.writeable = False
@@ -304,7 +315,8 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     # The linear convolution has 2n - 1 points; point k + n wraps onto k.
     shaped[: n - 1] += shaped[n : 2 * n - 1]
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
-    # of its power inside the band; rescale to the requested total power.
+    # of its power inside the band (within 1 %, by `_in_band_bins`); rescale
+    # to the requested total power.
     kept = 2.0 * (band[1] - band[0]) * step
     return shaped[:n] * np.sqrt(power / kept)
 
@@ -352,7 +364,7 @@ class PathCache:
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
-        self.n_out = int(round(window / pulse.step)) + 1
+        self.n_out = grid_points(window, pulse.step)
         self.guard = int(round(GUARD / pulse.step))
         self.length = _fast_length(pulse.samples.size + 2 * self.guard)
         _keep_heap_pages(_fast_length(2 * self.n_out - 1))

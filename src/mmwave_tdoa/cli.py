@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -32,7 +31,6 @@ from .harness import (
     run_experiment,
     stage_seconds,
     toa_sweep,
-    trial_rows,
     write_rows_csv,
     write_summary_json,
 )
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / 'toa_vs_alpha.csv'} ({len(rows)} rows)")
         else:
             trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
-            write_rows_csv(trial_rows(trials), out / "trials.csv")
+            write_rows_csv([vars(t) for t in trials], out / "trials.csv")
             write_summary_json(summary, out / "summary.json")
             rows = summary["results"]
             if args.command == "sweep":
@@ -126,7 +124,9 @@ def main(argv=None) -> int:
                 write_rows_csv(rows, out / "sweep.csv")
             for row in rows:
                 print(_format_row(row))
-        _write_meta(out, time.perf_counter() - started, stage_seconds(timings))
+        # Times live outside summary.json so identical runs stay byte-identical.
+        meta = {"wall_time_s": time.perf_counter() - started, "stage_s": stage_seconds(timings)}
+        write_summary_json(meta, out / "run_meta.json")
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -142,13 +142,6 @@ def main(argv=None) -> int:
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
-
-
-def _write_meta(out: Path, wall_time: float, stage_s: dict) -> None:
-    # Times live outside summary.json so identical runs stay byte-identical.
-    with open(out / "run_meta.json", "w") as handle:
-        json.dump({"wall_time_s": wall_time, "stage_s": stage_s}, handle, indent=2)
-        handle.write("\n")
 
 
 def _format_row(row: dict) -> str:

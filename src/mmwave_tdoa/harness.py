@@ -26,8 +26,10 @@ from .channel import (
     AbsorptionTable,
     ChannelSpec,
     PathCache,
+    _in_band_bins,
     _require_band_covered,
     arrival_start,
+    grid_points,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -197,21 +199,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One localization attempt by one estimator."""
+    """One localization attempt by one estimator; its fields, in order,
+    are the columns of trials.csv."""
 
     estimator: str  # "ctma" or "sampling"
     alpha: int | None  # branches ** (stages + 1) for ctma rows
-    f_s: float | None  # sampling rate for sampling rows
+    f_s_hz: float | None  # sampling rate for sampling rows
     position_index: int
     run_index: int
-    true_x: float
-    true_y: float
-    est_x: float
-    est_y: float
-    tau1: float
-    tau2: float
-    tau3: float
-    error: float
+    true_x_m: float
+    true_y_m: float
+    est_x_m: float
+    est_y_m: float
+    tau1_s: float
+    tau2_s: float
+    tau3_s: float
+    error_m: float
 
 
 def default_absorption_path() -> str:
@@ -256,6 +259,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     psd = None
     if cfg.noise:
         psd = _check_field("band", transmit_psd, tx, cfg.band, cfg.pulse_power)
+        _check_field("band", _in_band_bins, grid_points(cfg.t_ob, cfg.step), cfg.step, cfg.band)
 
     # Every path is longer than guard_radius and no longer than the diagonal.
     _check_field("guard_radius", arrival_start, tx, cfg.guard_radius, cfg.t_ob)
@@ -499,17 +503,17 @@ def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialR
     return TrialResult(
         estimator=estimator,
         alpha=alpha,
-        f_s=f_s,
+        f_s_hz=f_s,
         position_index=p_idx,
         run_index=r_idx,
-        true_x=x,
-        true_y=y,
-        est_x=est_x,
-        est_y=est_y,
-        tau1=taus[0],
-        tau2=taus[1],
-        tau3=taus[2],
-        error=math.hypot(est_x - x, est_y - y),
+        true_x_m=x,
+        true_y_m=y,
+        est_x_m=est_x,
+        est_y_m=est_y,
+        tau1_s=taus[0],
+        tau2_s=taus[1],
+        tau3_s=taus[2],
+        error_m=math.hypot(est_x - x, est_y - y),
     )
 
 
@@ -520,7 +524,7 @@ def aede(trials) -> float:
     trials = list(trials)
     if not trials:
         raise ConfigurationError("cannot average an empty trial collection")
-    groups = {(t.estimator, t.alpha, t.f_s) for t in trials}
+    groups = {(t.estimator, t.alpha, t.f_s_hz) for t in trials}
     if len(groups) > 1:
         raise ConfigurationError(
             f"mixed estimator groups in one average: {sorted(groups, key=str)}"
@@ -532,7 +536,7 @@ def aede(trials) -> float:
             raise ConfigurationError(
                 f"duplicate trial for position {t.position_index}, run {t.run_index}"
             )
-        runs[t.run_index] = t.error
+        runs[t.run_index] = t.error_m
     per_position = [float(np.mean(list(runs.values()))) for runs in cells.values()]
     return float(np.mean(per_position))
 
@@ -542,7 +546,7 @@ def summarize(trials) -> list[dict]:
     then sampling points in ascending rate."""
     groups: dict[tuple, list[TrialResult]] = {}
     for t in trials:
-        groups.setdefault((t.estimator, t.alpha, t.f_s), []).append(t)
+        groups.setdefault((t.estimator, t.alpha, t.f_s_hz), []).append(t)
 
     def order(key):
         estimator, alpha, f_s = key
@@ -594,30 +598,8 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     return rows, dict(timings)
 
 
-# trials.csv: each column and the TrialResult field it holds.
-_TRIAL_COLUMNS = {
-    "estimator": "estimator",
-    "alpha": "alpha",
-    "f_s_hz": "f_s",
-    "position_index": "position_index",
-    "run_index": "run_index",
-    "true_x_m": "true_x",
-    "true_y_m": "true_y",
-    "est_x_m": "est_x",
-    "est_y_m": "est_y",
-    "tau1_s": "tau1",
-    "tau2_s": "tau2",
-    "tau3_s": "tau3",
-    "error_m": "error",
-}
-
-
-def trial_rows(trials) -> list[dict]:
-    """One trials.csv row per trial, for `write_rows_csv`."""
-    return [{column: getattr(t, name) for column, name in _TRIAL_COLUMNS.items()} for t in trials]
-
-
 def write_summary_json(summary: dict, path) -> None:
+    """Write a JSON object with sorted keys: summary.json and run_meta.json."""
     with open(path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")

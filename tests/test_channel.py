@@ -161,6 +161,28 @@ def test_ingest_multi_species_rejects_fractions_for_absent_species(tmp_path):
     assert "'h2o'" in str(info.value) and "'N2O'" in str(info.value)
 
 
+def test_packaged_table_loads_as_loadtxt_reads_it():
+    path = default_absorption_path()
+    table = ingest_absorption(path)
+    freqs, k = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    assert table.frequencies.tobytes() == freqs.tobytes()
+    assert table.k.tobytes() == k.tobytes()
+
+
+def test_a_summed_table_loads_as_one_species_at_fraction_one(tmp_path):
+    """The summed layout is the per-species one with a single species."""
+    summed = Path(default_absorption_path()).read_text().splitlines()
+    per_species = tmp_path / "k.csv"
+    per_species.write_text(
+        "frequency_hz,species,K_per_m\n"
+        + "".join(f"{f},air,{k}\n" for f, k in (line.split(",") for line in summed[1:]))
+    )
+    a = ingest_absorption(default_absorption_path())
+    b = ingest_absorption(per_species, mole_fractions={"air": 1.0})
+    assert a.frequencies.tobytes() == b.frequencies.tobytes()
+    assert a.k.tobytes() == b.k.tobytes()
+
+
 def test_packaged_table_regenerates(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_absorption_table.py"
     out = tmp_path / "table.csv"
@@ -483,6 +505,19 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
     # Per trace: the path piece's irfft, then the noise's rfft and irfft.
     assert len(lengths) == 6
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
+
+
+@pytest.mark.parametrize(
+    "n, step, band, ratio",
+    [
+        (200_001, 5e-14, (100e9, 12e12), "0.8319"),  # above the 10 THz Nyquist frequency
+        (50_001, 2e-13, (100e9, 3e12), "0.8276"),  # above the 2.5 THz Nyquist frequency
+        (20_001, 5e-14, (200e9, 200.7e9), "0"),  # between two 1 GHz bins
+    ],
+)
+def test_the_noise_band_pass_rejects_a_band_the_grid_cannot_carry(n, step, band, ratio):
+    with pytest.raises(ConfigurationError, match=f" {ratio} times the share"):
+        _noise_kernel_spectrum(n, step, band)
 
 
 def test_noise_band_pass_is_cached_by_value_and_read_only():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from mmwave_tdoa import C0, PulseSpec, generate_pulse
 from mmwave_tdoa.cli import main
 from mmwave_tdoa.errors import SimulationError
-from mmwave_tdoa.harness import ExperimentConfig
+from mmwave_tdoa.harness import ExperimentConfig, TrialResult
 
 TINY_CFG = {
     "n_positions": 2,
@@ -120,6 +121,13 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
         "estimator,alpha,f_s_hz,position_index,run_index,true_x_m,true_y_m,"
         "est_x_m,est_y_m,tau1_s,tau2_s,tau3_s,error_m"
     )
+
+
+def test_trials_csv_columns_are_the_trial_record_fields(cfg_path, tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header = (out / "trials.csv").read_text().splitlines()[0]
+    assert header.split(",") == [f.name for f in dataclasses.fields(TrialResult)]
 
 
 def test_simulate_tdoa_deterministic_bytes(cfg_path, tmp_path):
@@ -235,6 +243,47 @@ def test_a_band_without_pulse_power_runs_without_noise(narrow_band_cfg, tmp_path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*argv, "--no-noise"]) == 0
+
+
+# Receiver bands whose rfft bins on the trace grid do not keep the share
+# 2 (f2 - f1) step of the noise power that the noise is scaled by.
+OFF_GRID_BANDS = {
+    "above-nyquist": {"band": [100e9, 12e12]},
+    "above-nyquist-at-0.2-ps": {"band": [100e9, 3e12], "step": 2e-13},
+    "no-bin": {
+        "layout_size": 0.1,
+        "t_ob": 1e-9,
+        "toa_position": [0.05, 0.05],
+        "mq_pairs": [[2, 9]],
+        "band": [200e9, 200.7e9],
+    },
+}
+
+
+@pytest.fixture(params=list(OFF_GRID_BANDS))
+def off_grid_band_cfg(request, tmp_path):
+    cfg = {"n_positions": 1, "n_runs": 1, **OFF_GRID_BANDS[request.param]}
+    if request.param != "no-bin":
+        table = tmp_path / "flat.csv"
+        table.write_text("frequency_hz,k_per_m\n5e10,0.01\n4e13,0.01\n")
+        cfg["absorption_path"] = str(table)
+    path = tmp_path / "off_grid.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+def test_a_band_the_trace_grid_cannot_carry_names_band(
+    off_grid_band_cfg, tmp_path, capsys, command
+):
+    argv = [command, "--config", str(off_grid_band_cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "configuration error: band: " in capsys.readouterr().err
+
+
+def test_a_band_the_trace_grid_cannot_carry_runs_without_noise(off_grid_band_cfg, tmp_path):
+    argv = ["simulate-tdoa", "--config", str(off_grid_band_cfg), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--no-noise"]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])

@@ -27,17 +27,17 @@ def make_trial(pos, run, error, estimator="ctma", alpha=1000, f_s=None):
     return TrialResult(
         estimator=estimator,
         alpha=alpha,
-        f_s=f_s,
+        f_s_hz=f_s,
         position_index=pos,
         run_index=run,
-        true_x=1.0,
-        true_y=1.0,
-        est_x=1.0 + error,
-        est_y=1.0,
-        tau1=5e-9,
-        tau2=5e-9,
-        tau3=5e-9,
-        error=error,
+        true_x_m=1.0,
+        true_y_m=1.0,
+        est_x_m=1.0 + error,
+        est_y_m=1.0,
+        tau1_s=5e-9,
+        tau2_s=5e-9,
+        tau3_s=5e-9,
+        error_m=error,
     )
 
 
@@ -190,7 +190,7 @@ def test_run_experiment_counts_and_fields():
     ctma = [t for t in trials if t.estimator == "ctma"]
     assert len(ctma) == 4 and all(t.alpha == 1000 for t in ctma)
     for t in trials:
-        assert t.error == pytest.approx(np.hypot(t.est_x - t.true_x, t.est_y - t.true_y))
+        assert t.error_m == pytest.approx(np.hypot(t.est_x_m - t.true_x_m, t.est_y_m - t.true_y_m))
     assert {r["estimator"] for r in summary["results"]} == {"ctma", "sampling"}
     assert summary["config"]["seed"] == 3
 
@@ -236,7 +236,7 @@ def test_noise_free_error_bounded_by_quantization():
 
     layout = BsLayout.corner(2.0)
     dists = np.hypot(
-        layout.positions()[:, 0] - trial.true_x, layout.positions()[:, 1] - trial.true_y
+        layout.positions()[:, 0] - trial.true_x_m, layout.positions()[:, 1] - trial.true_y_m
     )
     exact = ToaTriplet(tau1=dists[0] / C0, tau2=dists[1] / C0, tau3=dists[2] / C0)
 
@@ -247,10 +247,10 @@ def test_noise_free_error_bounded_by_quantization():
             tau3=exact.tau3 + signs[2] * delta,
         )
         x, y = solve_position(layout, tdoa_ranges(moved))
-        return np.hypot(x - trial.true_x, y - trial.true_y)
+        return np.hypot(x - trial.true_x_m, y - trial.true_y_m)
 
     bound = max(err(s) for s in [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
-    assert trial.error <= bound * 1.05
+    assert trial.error_m <= bound * 1.05
 
 
 def test_toa_modes_agree_on_positions():
@@ -260,14 +260,14 @@ def test_toa_modes_agree_on_positions():
     trials_s, _, _ = run_experiment(cfg_start)
     prep = prepare(cfg_peak)
     for a, b in zip(trials_p, trials_s):
-        assert a.error == pytest.approx(b.error, abs=1e-15)
-        assert a.tau1 - b.tau1 == pytest.approx(prep.t_p, abs=1e-18)
+        assert a.error_m == pytest.approx(b.error_m, abs=1e-15)
+        assert a.tau1_s - b.tau1_s == pytest.approx(prep.t_p, abs=1e-18)
 
 
 def test_quadratic_r1_mode_stays_accurate():
     cfg = ExperimentConfig(**TINY, r1_mode="quadratic")
     trials, _, _ = run_experiment(cfg)
-    assert all(t.error < 5e-3 for t in trials)
+    assert all(t.error_m < 5e-3 for t in trials)
 
 
 def test_toa_sweep_tracks_true_delay():
@@ -307,9 +307,9 @@ def test_dump_traces(tmp_path):
 
 
 def test_cached_traces_match_single_shot_propagation(monkeypatch):
-    """Every trace the shared loop propagates (clean waveform cached per
-    position, spectra per experiment) equals a fresh, uncached propagate of
-    the same path with the same seed and noise power."""
+    """Every trace the shared loop propagates (one `PathCache` per
+    experiment, shared by every position) equals a propagate of the same
+    path on a fresh `PathCache` with the same seed and noise power."""
     cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
     prep = prepare(cfg)
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
