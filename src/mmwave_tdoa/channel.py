@@ -272,8 +272,9 @@ def _noise_kernel_spectrum(
 ) -> tuple[int, np.ndarray]:
     """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
     of the n-point circular band-pass that keeps the rfft bins inside the
-    band (`_in_band_bins`, which checks them). Memoized on its values, and read-only, because every noisy trace
-    of an experiment shares it: the first noisy trace builds it."""
+    band (`_in_band_bins`, which checks them). Memoized on its values, and
+    read-only, because every noisy trace of an experiment shares it: the
+    first noisy trace builds it."""
     mask = _in_band_bins(n, step, band).astype(np.float64)
     length = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)

@@ -190,7 +190,8 @@ def test_run_experiment_counts_and_fields():
     ctma = [t for t in trials if t.estimator == "ctma"]
     assert len(ctma) == 4 and all(t.alpha == 1000 for t in ctma)
     for t in trials:
-        assert t.error_m == pytest.approx(np.hypot(t.est_x_m - t.true_x_m, t.est_y_m - t.true_y_m))
+        distance = np.hypot(t.est_x_m - t.true_x_m, t.est_y_m - t.true_y_m)
+        assert t.error_m == pytest.approx(distance)
     assert {r["estimator"] for r in summary["results"]} == {"ctma", "sampling"}
     assert summary["config"]["seed"] == 3
 
