@@ -124,9 +124,14 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise ConfigurationError(
+                    f"{path}: row {lineno}: {len(row)} cells where the header has "
+                    f"{len(header)}: {row!r}"
+                )
             try:
                 freq, value = float(row[0]), float(row[1 + per_species])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise ConfigurationError(f"{path}: row {lineno}: malformed row {row!r}") from None
             if not (math.isfinite(freq) and math.isfinite(value)):
                 raise ConfigurationError(f"{path}: row {lineno}: non-finite value in {row!r}")

@@ -11,6 +11,7 @@ noise stream and results do not depend on evaluation order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -48,7 +49,7 @@ from .detector import (
 from .errors import ConfigurationError
 from .locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 from .pulse import DEFAULT_STEP, PulseSpec, effective_duration, generate_pulse
-from .trace import SignalTrace, dump_csv
+from .trace import SignalTrace
 
 TOA_MODES = ("peak", "start-corrected")
 R1_MODES = ("known-clock", "quadratic")
@@ -57,8 +58,8 @@ ESTIMATORS = ("ctma", "sampling", "both")
 # the default 10 ns, 0.05 ps grid: every trace, transform and cached
 # spectrum grows with it.
 MAX_GRID_POINTS = 2**24
-# Ceiling on n_positions: `prepare` draws every position up front, so an
-# unbounded count never returns.
+# Ceiling on n_positions: `run_experiment` draws every position before the
+# first trace, so an unbounded count never returns.
 MAX_POSITIONS = 2**20
 
 
@@ -233,7 +234,6 @@ class PreparedExperiment:
     layout: BsLayout
     banks: tuple[DetectorBankConfig, ...]
     sampling_rates: tuple[float, ...]
-    positions: tuple[tuple[float, float], ...]
     ctma_offset: float
     lpf_offset: float
 
@@ -294,7 +294,6 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
             "from every receiver"
         )
 
-    positions = _draw_positions(cfg, layout)
     return PreparedExperiment(
         config=cfg,
         table=table,
@@ -304,7 +303,6 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         layout=layout,
         banks=banks,
         sampling_rates=rates,
-        positions=positions,
         ctma_offset=ctma_offset,
         lpf_offset=lpf_offset,
     )
@@ -381,10 +379,10 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
     return np.random.SeedSequence([root, position, run, receiver])
 
 
-def _run_toas(prep: PreparedExperiment, timings, dump_dir):
-    """Yield (position index, run index, toas) for every run at every
-    position of prep, where toas[b] lists receiver b's TOA for every bank
-    and then every sampling rate (see `_trace_toas`).
+def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
+    """Yield (position index, run index, toas) for every run at each of
+    positions, where toas[b] lists receiver b's TOA for every bank and
+    then every sampling rate (see `_trace_toas`).
 
     The pulse spectrum is computed once here, in the `PathCache` that every
     trace shares; each `propagate` call checks its path and computes the
@@ -393,7 +391,7 @@ def _run_toas(prep: PreparedExperiment, timings, dump_dir):
     own `_trace_toas` call, so one received trace is in memory at a time."""
     cfg, psd = prep.config, prep.psd
     cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
-    for p_idx, (x, y) in enumerate(prep.positions):
+    for p_idx, (x, y) in enumerate(positions):
         chspecs = [
             ChannelSpec(
                 distance=float(d),
@@ -425,7 +423,11 @@ def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> lis
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-        dump_csv(trace, os.path.join(dump_dir, f"pos000_run000_bs{index[2] + 1}.csv"))
+        rows = (
+            {"time_s": t, "value": v}
+            for t, v in zip(trace.times().tolist(), trace.samples.tolist())
+        )
+        write_rows_csv(rows, os.path.join(dump_dir, f"pos000_run000_bs{index[2] + 1}.csv"))
     toas = []
     if prep.banks:
         energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
@@ -450,6 +452,7 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     every `propagate` call, noise included (see `stage_seconds`).
     """
     prep = prepare(cfg)
+    positions = _draw_positions(cfg, prep.layout)
     # (key, offset, field) per sweep point, in the order of each receiver's
     # TOA list: banks, then rates. With noise any slot or sample can win, so
     # only the run finds a point too coarse to localize, and names it.
@@ -462,10 +465,10 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     ]
     trials: list[TrialResult] = []
     timings: dict = defaultdict(float)
-    for p_idx, r_idx, toas in _run_toas(prep, timings, dump_dir):
+    for p_idx, r_idx, toas in _run_toas(prep, positions, timings, dump_dir):
         for (key, offset, field), taus in zip(points, zip(*toas)):
             at = f"{field}, position {p_idx}, run {r_idx}"
-            args = (prep, taus, offset, *key, p_idx, r_idx)
+            args = (prep, positions[p_idx], taus, offset, *key, p_idx, r_idx)
             trials.append(_timed(timings, key, _check_field, at, _localize, *args))
     summary = {"config": dataclasses.asdict(cfg), "results": summarize(trials)}
     return trials, summary, dict(timings)
@@ -489,9 +492,9 @@ def _timed(timings, key, fn, *args, **kwargs):
     return out
 
 
-def _localize(prep, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialResult:
+def _localize(prep, position, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialResult:
     cfg = prep.config
-    x, y = prep.positions[p_idx]
+    x, y = position
     if cfg.toa_mode == "start-corrected":
         taus = [pulse_start_from_toa(t, prep.t_p) for t in taus]
         offset = offset - prep.t_p
@@ -570,7 +573,7 @@ def summarize(trials) -> list[dict]:
 def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     """Per-run TOA estimates versus alpha at toa_position; returns (rows,
     timings), timings keyed as `run_experiment`'s."""
-    prep = dataclasses.replace(prepare(cfg), sampling_rates=(), positions=(cfg.toa_position,))
+    prep = dataclasses.replace(prepare(cfg), sampling_rates=())
     if not prep.banks:
         raise ConfigurationError(
             f"simulate-toa needs a delay bank, but estimator {cfg.estimator!r} with "
@@ -579,7 +582,7 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
     dists = _distances(prep.layout, *cfg.toa_position)
     timings: dict = defaultdict(float)
     rows = []
-    for _, r_idx, toas in _run_toas(prep, timings, dump_dir):
+    for _, r_idx, toas in _run_toas(prep, (cfg.toa_position,), timings, dump_dir):
         for b, (dist, taus) in enumerate(zip(dists, toas)):
             for bank, tau in zip(prep.banks, taus):
                 rows.append(
@@ -606,7 +609,11 @@ def write_summary_json(summary: dict, path) -> None:
 
 
 def write_rows_csv(rows, path) -> None:
-    if not rows:
+    """Write an iterable of dict rows as CSV, the header from the first
+    row's keys: "" for None, repr for a float, str otherwise."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ConfigurationError("no rows to write")
 
     def render(value) -> str:
@@ -614,8 +621,8 @@ def write_rows_csv(rows, path) -> None:
             return ""
         return repr(value) if isinstance(value, float) else str(value)
 
-    columns = list(rows[0].keys())
+    columns = list(first.keys())
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(render(row[c]) for c in columns) + "\n")
+        for row in itertools.chain((first,), rows):
+            handle.write(",".join([render(row[c]) for c in columns]) + "\n")

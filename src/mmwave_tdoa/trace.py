@@ -69,9 +69,3 @@ def power_spectrum(trace: SignalTrace):
         nfft *= 2
     freqs = np.fft.rfftfreq(nfft, trace.step)
     return freqs, np.abs(np.fft.rfft(trace.samples, nfft) * trace.step) ** 2
-
-
-def dump_csv(trace: SignalTrace, path) -> None:
-    """Write a trace as two-column CSV (time_s, value) for debugging."""
-    data = np.column_stack([trace.times(), trace.samples])
-    np.savetxt(path, data, delimiter=",", header="time_s,value", comments="")

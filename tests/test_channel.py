@@ -120,6 +120,27 @@ def test_ingest_rejects_malformed_row(tmp_path):
         ingest_absorption(path)
 
 
+@pytest.mark.parametrize(
+    "text, fractions, message",
+    [
+        ("frequency_hz,k_per_m\n1.0e11,0.001\n\n5e10,0.01,7\n", None, "3 cells"),
+        (
+            "frequency_hz,species,K_per_m\n1.0e11,H2O,0.001\n\n5e10,H2O,0.01,9\n",
+            {"H2O": 1.0},
+            "4 cells",
+        ),
+    ],
+    ids=["summed", "per-species"],
+)
+def test_ingest_rejects_a_row_with_extra_cells(tmp_path, text, fractions, message):
+    """A further cell is rejected, not dropped, with the row's number
+    (the blank line 3 counts)."""
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"row 4: {message} where the header has"):
+        ingest_absorption(path, fractions)
+
+
 def test_ingest_rejects_unknown_header(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("freq,k\n1.0e11,0.001\n")

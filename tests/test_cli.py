@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwave_tdoa import C0, PulseSpec, generate_pulse
+from mmwave_tdoa import C0, PulseSpec, generate_pulse, harness
 from mmwave_tdoa.cli import main
 from mmwave_tdoa.errors import SimulationError
 from mmwave_tdoa.harness import ExperimentConfig, TrialResult
@@ -35,6 +35,15 @@ def test_validate_config_ok(cfg_path, capsys):
     out = capsys.readouterr().out
     assert "config OK" in out
     assert "alpha=1000" in out
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate-toa"])
+def test_commands_that_use_no_drawn_position_draw_none(cfg_path, tmp_path, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("no position is drawn")
+
+    monkeypatch.setattr(harness, "_draw_positions", refuse)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_validate_config_rejects_bad_file(tmp_path, capsys):
@@ -436,7 +445,8 @@ DESK_CFG = {
         ({"mq_pairs": [[3, 40]]}, "mq_pairs"),
         ({"n_runs": 0}, "n_runs"),
         ({"n_positions": 0}, "n_positions"),
-        ({"n_positions": 10**400}, "n_positions"),  # drawn up front: it would never return
+        # run_experiment draws every position before the first trace: it would never return
+        ({"n_positions": 10**400}, "n_positions"),
         ({"layout_size": 0}, "layout_size"),
         ({"layout_size": -2}, "layout_size"),
         ({"band": [1e9, 3e11]}, "band"),  # beyond the absorption table

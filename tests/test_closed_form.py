@@ -24,7 +24,7 @@ import numpy as np
 
 from mmwave_tdoa import C0, ExperimentConfig, SignalTrace
 from mmwave_tdoa.detector import lpf_approximation
-from mmwave_tdoa.harness import _distances, _run_toas, prepare
+from mmwave_tdoa.harness import _distances, _draw_positions, _run_toas, prepare
 
 DESK = Path(__file__).parents[1] / "configs" / "desk_sweep.json"
 
@@ -56,10 +56,11 @@ def test_every_noiseless_desk_toa_is_the_closed_form():
     desk = ExperimentConfig.from_file(DESK)
     cfg = dataclasses.replace(desk, noise=False, n_positions=10, n_runs=1)
     prep = prepare(cfg)
+    positions = _draw_positions(cfg, prep.layout)
     filtered = _calibration_lpf(prep)
     checked = 0
-    for p_idx, _, toas in _run_toas(prep, defaultdict(float), None):
-        distances = _distances(prep.layout, *prep.positions[p_idx])
+    for p_idx, _, toas in _run_toas(prep, positions, defaultdict(float), None):
+        distances = _distances(prep.layout, *positions[p_idx])
         for distance, receiver_toas in zip(distances, toas):
             banks, rates = prep.banks, prep.sampling_rates
             # The bank sums its passes' slot starts, so its TOA is delta

@@ -15,6 +15,8 @@ from mmwave_tdoa.channel import ChannelSpec, PathCache, noise_variance, transmit
 from mmwave_tdoa.detector import sampling_toas
 from mmwave_tdoa.harness import (
     TrialResult,
+    _distances,
+    _draw_positions,
     _trace_seed,
     prepare,
     summarize,
@@ -165,9 +167,9 @@ def test_prepare_and_sampling_toa_share_the_grid_rate_threshold():
 
 def test_positions_respect_guard_ring():
     cfg = ExperimentConfig(**{**TINY, "n_positions": 300})
-    prep = prepare(cfg)
-    anchors = prep.layout.positions()
-    for x, y in prep.positions:
+    layout = BsLayout.corner(cfg.layout_size)
+    anchors = layout.positions()
+    for x, y in _draw_positions(cfg, layout):
         assert 0.0 <= x <= 2.0 and 0.0 <= y <= 2.0
         assert np.min(np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)) > 0.01
 
@@ -300,8 +302,28 @@ def test_dump_traces(tmp_path):
     run_experiment(cfg, dump_dir=tmp_path / "traces")
     files = sorted(p.name for p in (tmp_path / "traces").iterdir())
     assert files == ["pos000_run000_bs1.csv", "pos000_run000_bs2.csv", "pos000_run000_bs3.csv"]
-    header = (tmp_path / "traces" / files[0]).read_text().splitlines()[0]
-    assert header == "time_s,value"
+    prep = prepare(cfg)
+    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
+    distances = _distances(prep.layout, *_draw_positions(cfg, prep.layout)[0])
+    for b, (name, distance) in enumerate(zip(files, distances)):
+        lines = (tmp_path / "traces" / name).read_text().splitlines()
+        assert lines[0] == "time_s,value"
+        times, values = np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
+        path = ChannelSpec(
+            distance=float(distance),
+            center_frequency=cfg.pulse_center_frequency,
+            band=cfg.band,
+            temperature=cfg.temperature,
+        )
+        trace = harness.propagate(
+            PathCache(prep.tx, prep.table, window=cfg.t_ob),
+            path,
+            seed=_trace_seed(cfg.seed, 0, 0, b),
+            noise_power=noise_variance(path, prep.table, psd),
+        )
+        # Shortest round-trip floats read back to the trace's own doubles.
+        assert times.tobytes() == trace.times().tobytes()
+        assert values.tobytes() == trace.samples.tobytes()
 
 
 # -------------------------------------------------- run-invariant signal caches
@@ -313,6 +335,7 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     path on a fresh `PathCache` with the same seed and noise power."""
     cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
     prep = prepare(cfg)
+    positions = _draw_positions(cfg, prep.layout)
     psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
     anchors = prep.layout.positions()
     real = harness.propagate
@@ -321,7 +344,7 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     def spy(cache, spec, seed, noise_power):
         trace = real(cache, spec, seed, noise_power)
         _, p_idx, r_idx, b = seed.entropy
-        x, y = prep.positions[p_idx]
+        x, y = positions[p_idx]
         path = ChannelSpec(
             distance=float(np.hypot(anchors[b, 0] - x, anchors[b, 1] - y)),
             center_frequency=cfg.pulse_center_frequency,
