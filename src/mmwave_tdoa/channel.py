@@ -94,15 +94,14 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
     Raises ConfigurationError naming the offending row on malformed input.
     """
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read absorption table {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty absorption file") from None
+        rows = _csv_rows(path, csv.reader(handle))
+        header = next(rows, None)
+        if header is None:
+            raise ConfigurationError(f"{path}: empty absorption file")
         header = [h.strip().lower() for h in header]
         per_species = header == ["frequency_hz", "species", "k_per_m"]
         if header == ["frequency_hz", "k_per_m"]:
@@ -121,7 +120,7 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
 
         # species -> its (line number, frequency, coefficient) rows, in file order
         grids: dict[str | None, list[tuple[int, float, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -163,6 +162,24 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
             + ", ".join(map(repr, unknown))
         )
     return AbsorptionTable(frequencies=np.array(reference), k=k)
+
+
+def _csv_rows(path, reader):
+    """The rows of reader; one that is not UTF-8 text, or that the csv
+    module cannot parse (a cell above its field size limit, say), raises
+    ConfigurationError naming the file."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
+        yield row
 
 
 def _require_increasing(path, rows: list[tuple[int, float, float]]) -> None:
@@ -244,11 +261,6 @@ def _fast_length(minimum: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def grid_points(window: float, step: float) -> int:
-    """Points of a received trace on [0, window] at the given step."""
-    return int(round(window / step)) + 1
 
 
 def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
@@ -362,15 +374,16 @@ GUARD = 204.8e-12  # s of zero padding each side of a path's pulse: 4,096 steps 
 
 class PathCache:
     """The parts of `propagate` that no path or noise seed changes, for one
-    pulse, absorption table and observation window: the pulse spectrum and
-    the absorption exponent -0.5 k(f) at the short transform length
-    L = `_fast_length(pulse + 2 G)`, with G the `GUARD` in grid steps, and
+    pulse, absorption table and observation window: the received trace's
+    points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
+    at the short transform length L = `_fast_length(pulse + 2 G)`, with G
+    the `GUARD` in grid steps, and
     the experiment's one block of kept heap pages (`_keep_heap_pages`),
     sized for the noise's transform. It holds no per-path state."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
-        self.n_out = grid_points(window, pulse.step)
+        self.n_out = int(round(window / pulse.step)) + 1
         self.guard = int(round(GUARD / pulse.step))
         self.length = _fast_length(pulse.samples.size + 2 * self.guard)
         _keep_heap_pages(_fast_length(2 * self.n_out - 1))

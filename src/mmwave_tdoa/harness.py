@@ -30,7 +30,6 @@ from .channel import (
     _in_band_bins,
     _require_band_covered,
     arrival_start,
-    grid_points,
     ingest_absorption,
     noise_variance,
     propagate,
@@ -189,12 +188,16 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config {path} is not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigurationError(f"config {path} nests too deeply to parse") from None
         return cls.from_dict(data)
 
 
@@ -231,6 +234,7 @@ class PreparedExperiment:
     tx: SignalTrace
     t_p: float
     psd: tuple[np.ndarray, np.ndarray] | None  # transmit_psd, when noise is on
+    paths: PathCache  # every trace's shared path set-up
     layout: BsLayout
     banks: tuple[DetectorBankConfig, ...]
     sampling_rates: tuple[float, ...]
@@ -247,8 +251,8 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         energy_fraction_for_duration=cfg.energy_fraction,
     )
     _require_bounded_grid(cfg, spec)
-    path = cfg.absorption_path or default_absorption_path()
-    table = ingest_absorption(path, cfg.species_fractions)
+    path = default_absorption_path() if cfg.absorption_path is None else cfg.absorption_path
+    table = _check_field("absorption_path", ingest_absorption, path, cfg.species_fractions)
     _check_field("band", _require_band_covered, table, cfg.band)
     tx = generate_pulse(spec, cfg.step)
     # A pulse_power that underflows the pulse to zero, or overflows its
@@ -256,10 +260,10 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
     with np.errstate(over="ignore", invalid="ignore"):
         t_p = _check_field("pulse_power", effective_duration, tx, cfg.energy_fraction)
         ctma_offset, lpf_offset = _check_field("pulse_power", _estimator_offsets, tx, t_p)
-    psd = None
+    psd = _check_field("band", transmit_psd, tx, cfg.band, cfg.pulse_power) if cfg.noise else None
+    paths = PathCache(tx, table, window=cfg.t_ob)
     if cfg.noise:
-        psd = _check_field("band", transmit_psd, tx, cfg.band, cfg.pulse_power)
-        _check_field("band", _in_band_bins, grid_points(cfg.t_ob, cfg.step), cfg.step, cfg.band)
+        _check_field("band", _in_band_bins, paths.n_out, cfg.step, cfg.band)
 
     # Every path is longer than guard_radius and no longer than the diagonal.
     _check_field("guard_radius", arrival_start, tx, cfg.guard_radius, cfg.t_ob)
@@ -300,6 +304,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
         tx=tx,
         t_p=t_p,
         psd=psd,
+        paths=paths,
         layout=layout,
         banks=banks,
         sampling_rates=rates,
@@ -384,13 +389,12 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     positions, where toas[b] lists receiver b's TOA for every bank and
     then every sampling rate (see `_trace_toas`).
 
-    The pulse spectrum is computed once here, in the `PathCache` that every
-    trace shares; each `propagate` call checks its path and computes the
-    path's short clean piece itself. `channel` keeps the rest of the shared
-    set-up, the noise band-pass, itself. Each trace lives only inside its
-    own `_trace_toas` call, so one received trace is in memory at a time."""
+    Every trace shares `prep.paths`; each `propagate` call checks its path
+    and computes the path's short clean piece itself. `channel` keeps the
+    rest of the shared set-up, the noise band-pass, itself. Each trace lives
+    only inside its own `_trace_toas` call, so one received trace is in
+    memory at a time."""
     cfg, psd = prep.config, prep.psd
-    cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
     for p_idx, (x, y) in enumerate(positions):
         chspecs = [
             ChannelSpec(
@@ -406,12 +410,12 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
         for r_idx in range(cfg.n_runs):
             dump = dump_dir if p_idx == 0 and r_idx == 0 else None
             yield p_idx, r_idx, [
-                _trace_toas(prep, cache, chspecs[b], powers[b], (p_idx, r_idx, b), dump, timings)
+                _trace_toas(prep, chspecs[b], powers[b], (p_idx, r_idx, b), dump, timings)
                 for b in range(3)
             ]
 
 
-def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> list[float]:
+def _trace_toas(prep, spec, noise_power, index, dump_dir, timings) -> list[float]:
     """Propagate the received trace of one (position, run, receiver) index
     with its own seed, write it under dump_dir if given, and return its TOA
     at every bank, each ranking its slots on one windowed energy, and then
@@ -419,7 +423,7 @@ def _trace_toas(prep, cache, spec, noise_power, index, dump_dir, timings) -> lis
     some rate's largest sample can lie in."""
     seed = _trace_seed(prep.config.seed, *index)
     trace = _timed(
-        timings, "propagate", propagate, cache, spec, seed=seed, noise_power=noise_power
+        timings, "propagate", propagate, prep.paths, spec, seed=seed, noise_power=noise_power
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)

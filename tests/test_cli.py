@@ -112,6 +112,39 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+# Inputs that no parser can read, as (config, absorption table bytes or
+# None). A dict config is written as JSON over TINY_CFG, and given the
+# table's path as absorption_path when there is a table.
+UNREADABLE_INPUTS = {
+    "config-not-utf8": (b'{"n_runs": 1, "toa_mode": "\xff"}', None),
+    "config-nested-100000-deep": (b"[" * 100_000 + b"]" * 100_000, None),
+    "table-not-utf8": ({}, b"frequency_hz,k_per_m\n5e10,0.01\n\xff,0.01\n5e11,0.01\n"),
+    "table-cell-over-the-csv-field-limit": (
+        {},
+        b"frequency_hz,k_per_m\n5e10,0.01\n5e11," + b"1" * 200_000 + b"\n",
+    ),
+    "empty-absorption-path": ({"absorption_path": ""}, None),
+}
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_an_unreadable_input_exits_2_naming_its_file_or_field(tmp_path, capsys, command, case):
+    config, table = UNREADABLE_INPUTS[case]
+    if isinstance(config, dict):
+        config = {**TINY_CFG, "n_positions": 1, "n_runs": 1, **config}
+        if table is not None:
+            (tmp_path / "k.csv").write_bytes(table)
+            config["absorption_path"] = str(tmp_path / "k.csv")
+        config = json.dumps(config).encode()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(config)
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert (str(cfg_file) if case.startswith("config") else "error: absorption_path: ") in err
+
+
 def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
     out = tmp_path / "run"
     assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out)]) == 0

@@ -19,7 +19,6 @@ from mmwave_tdoa import (
     propagate,
 )
 from mmwave_tdoa import detector
-from mmwave_tdoa.channel import PathCache
 from mmwave_tdoa.detector import (
     _lpf_kernel,
     _windowed_energy,
@@ -363,8 +362,7 @@ def desk_traces():
     assert cfg.sampling_rates == DESK_RATES
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
     power = noise_variance(spec, prep.table, prep.psd)
-    cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
-    traces = [propagate(cache, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
+    traces = [propagate(prep.paths, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
     return traces, prep.t_p
 
 

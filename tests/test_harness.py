@@ -366,6 +366,35 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     assert seen == [(p, r, b) for p in range(2) for r in range(3) for b in range(3)]
 
 
+@pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])
+def test_prepare_builds_the_one_path_cache_every_trace_uses(monkeypatch, entry):
+    """One `PathCache` per experiment, built inside `prepare` and carried as
+    `prep.paths`; every trace propagates on it, with its n_out points."""
+    real_cache, real_prepare, real_propagate = PathCache, prepare, harness.propagate
+    built, preps, traces = [], [], []
+
+    def counted(*args, **kwargs):
+        built.append(len(preps))  # the prepare calls returned so far
+        return real_cache(*args, **kwargs)
+
+    def spy_prepare(cfg):
+        preps.append(real_prepare(cfg))
+        return preps[-1]
+
+    def spy_propagate(cache, spec, seed, noise_power):
+        assert cache is preps[-1].paths
+        trace = real_propagate(cache, spec, seed, noise_power)
+        traces.append(trace.samples.size)
+        return trace
+
+    monkeypatch.setattr(harness, "PathCache", counted)
+    monkeypatch.setattr(harness, "prepare", spy_prepare)
+    monkeypatch.setattr(harness, "propagate", spy_propagate)
+    getattr(harness, entry)(ExperimentConfig(**TINY))
+    assert built == [0] and len(preps) == 1
+    assert traces and set(traces) == {preps[0].paths.n_out}
+
+
 def test_noise_band_pass_is_built_once_per_experiment():
     """Built by the first noisy trace, then looked up by every later one."""
     kernels = channel._noise_kernel_spectrum

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from mmwave_tdoa import ChannelSpec, noise_variance, propagate, transmit_psd
-from mmwave_tdoa.channel import PathCache
 from mmwave_tdoa.detector import _windowed_energy, sampling_toas
 from mmwave_tdoa.harness import ExperimentConfig, prepare
 
@@ -24,7 +23,7 @@ def test_noisy_trace_faults_in_under_one_trace_of_pages():
     prep = prepare(cfg)
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
     power = noise_variance(spec, prep.table, transmit_psd(prep.tx, cfg.band, cfg.pulse_power))
-    cache = PathCache(prep.tx, prep.table, window=cfg.t_ob)
+    cache = prep.paths
 
     def stages(seed):
         trace = propagate(cache, spec, seed=seed, noise_power=power)
