@@ -98,11 +98,18 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
     except OSError as exc:
         raise ConfigurationError(f"cannot read absorption table {path}: {exc}") from exc
     with handle:
-        rows = _csv_rows(path, csv.reader(handle))
-        header = next(rows, None)
-        if header is None:
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
+            ) from None
+        except csv.Error as exc:  # a cell above the csv module's field size limit, say
+            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
+        if not rows:
             raise ConfigurationError(f"{path}: empty absorption file")
-        header = [h.strip().lower() for h in header]
+        header = [h.strip().lower() for h in rows[0]]
         per_species = header == ["frequency_hz", "species", "k_per_m"]
         if header == ["frequency_hz", "k_per_m"]:
             if mole_fractions is not None:
@@ -120,7 +127,7 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
 
         # species -> its (line number, frequency, coefficient) rows, in file order
         grids: dict[str | None, list[tuple[int, float, float]]] = {}
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in enumerate(rows[1:], start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -162,24 +169,6 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
             + ", ".join(map(repr, unknown))
         )
     return AbsorptionTable(frequencies=np.array(reference), k=k)
-
-
-def _csv_rows(path, reader):
-    """The rows of reader; one that is not UTF-8 text, or that the csv
-    module cannot parse (a cell above its field size limit, say), raises
-    ConfigurationError naming the file."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(
-                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
-            ) from None
-        except csv.Error as exc:
-            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
-        yield row
 
 
 def _require_increasing(path, rows: list[tuple[int, float, float]]) -> None:
@@ -377,9 +366,9 @@ class PathCache:
     pulse, absorption table and observation window: the received trace's
     points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
     at the short transform length L = `_fast_length(pulse + 2 G)`, with G
-    the `GUARD` in grid steps, and
-    the experiment's one block of kept heap pages (`_keep_heap_pages`),
-    sized for the noise's transform. It holds no per-path state."""
+    the `GUARD` in grid steps, and the experiment's one block of kept heap
+    pages (`_keep_heap_pages`), sized for the noise's transform. It holds
+    no per-path state."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
