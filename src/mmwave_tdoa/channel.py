@@ -98,18 +98,11 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
     except OSError as exc:
         raise ConfigurationError(f"cannot read absorption table {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        try:
-            rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(
-                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
-            ) from None
-        except csv.Error as exc:  # a cell above the csv module's field size limit, say
-            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
-        if not rows:
+        rows = _csv_rows(path, csv.reader(handle))
+        header = next(rows, None)
+        if header is None:
             raise ConfigurationError(f"{path}: empty absorption file")
-        header = [h.strip().lower() for h in rows[0]]
+        header = [h.strip().lower() for h in header]
         per_species = header == ["frequency_hz", "species", "k_per_m"]
         if header == ["frequency_hz", "k_per_m"]:
             if mole_fractions is not None:
@@ -127,7 +120,7 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
 
         # species -> its (line number, frequency, coefficient) rows, in file order
         grids: dict[str | None, list[tuple[int, float, float]]] = {}
-        for lineno, row in enumerate(rows[1:], start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -169,6 +162,24 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
             + ", ".join(map(repr, unknown))
         )
     return AbsorptionTable(frequencies=np.array(reference), k=k)
+
+
+def _csv_rows(path, reader):
+    """Yield reader's rows one at a time; a row that is not UTF-8 text, or
+    that the csv module cannot parse (a cell above its field size limit,
+    say), raises ConfigurationError naming the file."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
+        yield row
 
 
 def _require_increasing(path, rows: list[tuple[int, float, float]]) -> None:
