@@ -283,18 +283,53 @@ def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return mask
 
 
+def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
+    """The n-point circular band-pass that keeps the rfft bins inside the
+    band (`_in_band_bins`, which checks them), `irfft(mask, n)` in closed
+    form, so that no transform runs at the length n (a slow one when n has
+    large prime factors). The M bins ka..kb sum to h[t] = (2/n)
+    cos(pi (ka + kb) t / n) sin(pi M t / n) / sin(pi t / n), h[0] = 2 M / n.
+    The band starts above bin 0 (`ExperimentConfig` keeps it positive); a
+    Nyquist bin n / 2 in it is counted once, as irfft does."""
+    bins = np.flatnonzero(_in_band_bins(n, step, band))
+    ka, kb = int(bins[0]), int(bins[-1])
+    m = kb - ka + 1
+
+    def sin_quarter_turns(s):
+        """sin(pi s / (2 n)) of int64 s, the angle folded into [-pi/2, pi/2]
+        exactly in integers (s stays below 4 n^2, no overflow), so that no
+        sine loses its relative precision near a multiple of pi."""
+        s = (s + n) % (4 * n) - n
+        return np.sin(np.pi / (2 * n) * np.where(s > n, 2 * n - s, s))
+
+    # h is even, h[t] = h[n - t]: build t <= n / 2, where pi t / n <= pi / 2.
+    t = np.arange(1, n // 2 + 1)
+    half = (
+        sin_quarter_turns(2 * (ka + kb) * t + n)
+        * sin_quarter_turns(2 * m * t)
+        / np.sin(np.pi / n * t)
+        * (2 / n)
+    )
+    kernel = np.empty(n)
+    kernel[0] = 2 * m / n
+    kernel[1 : n // 2 + 1] = half
+    kernel[n // 2 + 1 :] = half[: (n - 1) // 2][::-1]
+    if 2 * kb == n:
+        kernel[::2] -= 1 / n
+        kernel[1::2] += 1 / n
+    return kernel
+
+
 @functools.lru_cache(maxsize=4)
 def _noise_kernel_spectrum(
     n: int, step: float, band: tuple[float, float]
 ) -> tuple[int, np.ndarray]:
     """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
-    of the n-point circular band-pass that keeps the rfft bins inside the
-    band (`_in_band_bins`, which checks them). Memoized on its values, and
+    of the n-point `_band_pass(n, step, band)`. Memoized on its values, and
     read-only, because every noisy trace of an experiment shares it: the
     first noisy trace builds it."""
-    mask = _in_band_bins(n, step, band).astype(np.float64)
     length = _fast_length(2 * n - 1)
-    spectrum = np.fft.rfft(np.fft.irfft(mask, n), length)
+    spectrum = np.fft.rfft(_band_pass(n, step, band), length)
     spectrum.flags.writeable = False
     return length, spectrum
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,33 +136,44 @@ class _BlockLpf:
         self.n_kernel, self.h_max, self.spectrum = _lpf_kernel(t_p, v.step)
         self.length = 2 * (self.spectrum.size - 1)
         self.block = self.length - self.n_kernel + 1
-        self.step, n = v.step, v.samples.size
-        self.count = -(-n // self.block)
-        # v^2 behind K - 1 zeros, zero-padded past the last block's input.
-        self.squared = np.zeros(self.count * self.block + self.n_kernel)
-        np.multiply(v.samples, v.samples, out=self.squared[self.n_kernel - 1 :][:n])
-        self.samples = np.empty(n)
+        self.step, self.trace = v.step, v.samples
+        self.count = -(-self.trace.size // self.block)
+        self.samples = np.empty(self.trace.size)
         self.done = np.zeros(self.count, dtype=bool)
 
     def compute(self, b: int) -> None:
-        """Filter output block b, unless it is done."""
+        """Filter output block b, unless it is done. Its input is v^2 over
+        the trace points [b B - K + 1, (b + 1) B), zero outside the trace
+        (block 0's lead, the last block's tail)."""
         if not self.done[b]:
-            a, lead = b * self.block, self.n_kernel - 1
-            spectrum = np.fft.rfft(self.squared[a : a + self.length]) * self.spectrum
-            out = self.samples[a : a + self.block]
+            a, lead = b * self.block - self.n_kernel + 1, self.n_kernel - 1
+            lo, hi = max(a, 0), min(a + self.length, self.trace.size)
+            squared = np.zeros(self.length)
+            np.multiply(self.trace[lo:hi], self.trace[lo:hi], out=squared[lo - a : hi - a])
+            spectrum = np.fft.rfft(squared) * self.spectrum
+            out = self.samples[b * self.block : (b + 1) * self.block]
             out[:] = np.fft.irfft(spectrum, self.length)[lead : lead + out.size] * self.step
             self.done[b] = True
 
     def bounds(self) -> np.ndarray:
         """Per block, an upper bound on the output at its grid points and
         the next one: step * max(h) * the sum of v^2 over the input they
-        see, as h >= 0. Each sum is taken over its own points, so its
-        rounding is relative to itself."""
-        starts = np.arange(self.count) * self.block
-        edges = np.column_stack([starts, starts + self.n_kernel]).ravel()
-        sums = np.add.reduceat(self.squared, np.append(edges, starts[-1] + self.block))
-        heads, middles = sums[0::2], sums[1::2]
-        return (heads[:-1] + middles + heads[1:]) * (self.step * self.h_max)
+        see, as h >= 0. Block b's points see chunk b, the trace points
+        [b B - K + 1, (b + 1) B - K + 1), and the next block's first point
+        adds the head of chunk b + 1, its first K points. The chunks after
+        the first are the rows of one strided view, each row's sums taken
+        over its own points, so their rounding is relative to themselves."""
+        v, size, head = self.trace, self.block, self.n_kernel
+        chunks, heads = np.zeros(self.count + 1), np.zeros(self.count + 1)
+        first = min(size - head + 1, v.size)
+        chunks[0] = v[:first] @ v[:first]
+        rows = (v.size - first) // size
+        view = v[first : first + rows * size].reshape(rows, size)
+        chunks[1 : rows + 1] = np.einsum("ij,ij->i", view, view)
+        heads[1 : rows + 1] = np.einsum("ij,ij->i", view[:, :head], view[:, :head])
+        rest = v[first + rows * size :]
+        chunks[rows + 1], heads[rows + 1] = rest @ rest, rest[:head] @ rest[:head]
+        return (chunks[: self.count] + heads[1 : self.count + 1]) * (self.step * self.h_max)
 
 
 def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
@@ -211,17 +223,6 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
 
 
-def _sample_instants(trace: SignalTrace, f_s: float):
-    """Rate f_s's sample instants inside the trace (phase anchored at
-    t = 0), their grid positions, and the grid index j below each, clipped
-    to n - 2 so that every sample lies between grid points j and j + 1."""
-    require_within_grid_rate(f_s, trace.step)
-    first = int(np.ceil(trace.start_time * f_s - 1e-9))
-    t_samples = np.arange(first, int(np.floor(trace.end_time * f_s + 1e-9)) + 1) / f_s
-    pos = (t_samples - trace.start_time) / trace.step
-    return t_samples, pos, np.minimum(pos.astype(np.int64), len(trace) - 2)
-
-
 def _interpolate(v: np.ndarray, pos: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Samples at grid positions pos, linear between grid points j and j + 1."""
     return v[j] + (pos - j) * (v[j + 1] - v[j])
@@ -233,40 +234,56 @@ def sampling_toas(v: SignalTrace, t_p: float, rates) -> list[float]:
     anchored at t = 0), each sample linear between the two grid points
     around its instant, and return the time of the earliest largest sample.
 
+    Sample k is at t = k / f_s, for every k with t inside the trace, at grid
+    position pos = (t - start) / step, between grid points j and j + 1,
+    j = int(pos) clipped to n - 2. It belongs to the block of j, and each
+    block takes its own samples from the k near its time span.
+
     Only the blocks that can hold a rate's largest sample are filtered. A
     sample between grid points j and j + 1 is at most the larger of the
     two, so at most the `_BlockLpf.bounds` of the block of j. Each rate
     visits blocks in descending bound order and skips those holding none
-    of its samples. It filters block b, and b + 1 for the sample after b's
-    last point, until its largest sample is above b's bound plus 1e-9
-    times the largest bound, a margin far above the rounding of the bounds
-    and transforms. Every sample left out is then below the rate's
+    of its samples. It filters block b, and b + 1 when a sample of b lies
+    after b's last point, until its largest sample is above b's bound plus
+    1e-9 times the largest bound, a margin far above the rounding of the
+    bounds and transforms. Every sample left out is then below the rate's
     maximum, and ties keep the earliest sample, as `np.argmax` does. A
     block filtered for one rate is not filtered again for the next.
     """
     lpf = _BlockLpf(v, t_p)
     bound = lpf.bounds()
     margin = 1e-9 * bound.max()
-    order = np.argsort(-bound, kind="stable")
-    starts = np.arange(1, lpf.count) * lpf.block
+    order = np.argsort(-bound, kind="stable").tolist()
+    bound = bound.tolist()
+    start, step, n, size = v.start_time, v.step, len(v), lpf.block
     toas = []
     for f_s in rates:
-        t_samples, pos, j = _sample_instants(v, f_s)
-        edges = np.concatenate([[0], np.searchsorted(j, starts), [j.size]])
-        best, best_k = -np.inf, 0
+        require_within_grid_rate(f_s, step)
+        first = math.ceil(start * f_s - 1e-9)
+        last = math.floor(v.end_time * f_s + 1e-9)
+        if first > last:
+            raise ConfigurationError(f"the trace holds no sample at {f_s:.3e} Hz")
+        best, best_k = -np.inf, first
         for b in order:
             if best > bound[b] + margin:
                 break
-            lo, hi = edges[b], edges[b + 1]
+            # The k within 2 of block b's time span, then those whose j is in it.
+            a, z = b * size, (b + 1) * size
+            k0 = max(first, math.floor((start + a * step) * f_s) - 2)
+            k1 = min(last, math.ceil((start + z * step) * f_s) + 2)
+            t = np.arange(k0, k1 + 1) / f_s
+            pos = (t - start) / step
+            j = np.minimum(pos.astype(np.int64), n - 2)
+            lo, hi = np.searchsorted(j, (a, z))
             if hi > lo:
                 lpf.compute(b)
-                if b + 1 < lpf.count:
+                if j[hi - 1] == z - 1:  # its sample reads block b + 1's first point
                     lpf.compute(b + 1)
                 values = _interpolate(lpf.samples, pos[lo:hi], j[lo:hi])
-                k = int(np.argmax(values))
-                if values[k] > best or (values[k] == best and lo + k < best_k):
-                    best, best_k = values[k], lo + k
-        toas.append(float(t_samples[best_k]))
+                i = int(np.argmax(values))
+                if values[i] > best or (values[i] == best and k0 + lo + i < best_k):
+                    best, best_k = values[i], k0 + lo + i
+        toas.append(float(best_k / f_s))
     return toas
 
 

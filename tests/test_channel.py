@@ -25,8 +25,10 @@ from mmwave_tdoa.channel import (
     PHASE_BLOCK,
     PathCache,
     _band_limited_noise,
+    _band_pass,
     _delay_phase,
     _fast_length,
+    _in_band_bins,
     _noise_kernel_spectrum,
     noise_background_psd,
     noise_self_psd,
@@ -493,6 +495,22 @@ def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
     assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
 
 
+@pytest.mark.parametrize(
+    "n, band",
+    [
+        (200_001, BAND),
+        (200_000, BAND),
+        (20_000, (100e9, 10e12)),  # holds the Nyquist bin n / 2, which irfft counts once
+        (20_001, (100e9, 10e12)),
+    ],
+)
+def test_the_closed_form_band_pass_matches_an_n_point_irfft_of_its_bins(n, band):
+    step = 5e-14
+    reference = np.fft.irfft(_in_band_bins(n, step, band).astype(np.float64), n)
+    kernel = _band_pass(n, step, band)
+    assert np.max(np.abs(kernel - reference)) <= 1e-15 * np.max(reference)
+
+
 def _largest_prime_factor(n: int) -> int:
     factor, largest = 2, 1
     while factor * factor <= n:
@@ -503,11 +521,11 @@ def _largest_prime_factor(n: int) -> int:
 
 
 def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, monkeypatch):
-    """Once the noise band-pass is memoized, every transform of a noisy
-    trace has a length without a prime factor above 7 (the 200,001-point
-    trace itself is 3 * 163 * 409)."""
+    """Every transform of a noisy trace, the first one's build of the noise
+    band-pass included, has a length without a prime factor above 7 (the
+    200,001-point trace itself is 3 * 163 * 409)."""
     cache = PathCache(pulse2, flat_table, window=10e-9)
-    _noise_kernel_spectrum(cache.n_out, pulse2.step, BAND)
+    _noise_kernel_spectrum.cache_clear()
     lengths = []
 
     def spying(real):
@@ -523,8 +541,9 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
     for seed in (1, 2):
         rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
-    # Per trace: the path piece's irfft, then the noise's rfft and irfft.
-    assert len(lengths) == 6
+    # Per trace: the path piece's irfft, then the noise's rfft and irfft;
+    # the first trace also runs the band-pass's rfft.
+    assert len(lengths) == 7
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 

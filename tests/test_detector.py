@@ -335,10 +335,27 @@ def test_sampling_rejects_super_grid_rate(tp2):
         sampling_toas(v, tp2, [2.0 / STEP])
 
 
+def test_sampling_rejects_a_rate_with_no_sample_in_the_trace(tp2):
+    v = SignalTrace(0.3 * STEP, STEP, np.ones(1000))  # (0, 50 ps]: no 1 GHz instant
+    with pytest.raises(ConfigurationError, match="no sample at 1.000e[+]09 Hz"):
+        sampling_toas(v, tp2, [600e9, 1e9])
+
+
+def _sample_instants(trace: SignalTrace, f_s: float):
+    """Rate f_s's sample instants inside the trace (phase anchored at
+    t = 0), their grid positions, and the grid index j below each, clipped
+    to n - 2 so that every sample lies between grid points j and j + 1."""
+    detector.require_within_grid_rate(f_s, trace.step)
+    first = int(np.ceil(trace.start_time * f_s - 1e-9))
+    t_samples = np.arange(first, int(np.floor(trace.end_time * f_s + 1e-9)) + 1) / f_s
+    pos = (t_samples - trace.start_time) / trace.step
+    return t_samples, pos, np.minimum(pos.astype(np.int64), len(trace) - 2)
+
+
 def _sampled_max_toa(filtered: SignalTrace, f_s: float) -> float:
     """Reference sampler: the time of the largest of every sample of the
     whole LPF output, each interpolated by grid index."""
-    t_samples, pos, j = detector._sample_instants(filtered, f_s)
+    t_samples, pos, j = _sample_instants(filtered, f_s)
     return float(t_samples[int(np.argmax(detector._interpolate(filtered.samples, pos, j)))])
 
 
@@ -385,6 +402,16 @@ def test_sampling_by_grid_index_matches_interpolating_the_time_axis(desk_traces,
         assert _sampled_max_toa(filtered, f_s) == _interp_sampling_toa(filtered, f_s)
 
 
+class _NanUntilFiltered(detector._BlockLpf):
+    """NaN at every output point until its block is filtered: a sample that
+    reads an unfiltered point is NaN, so its block's argmax is NaN and the
+    block drops out, which shows as a wrong TOA."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.samples[:] = np.nan
+
+
 GRID_RATE = 1.0 / STEP
 # Below 10 GHz samples lie more than one 6,003-point LPF block apart, so
 # whole blocks hold no sample of the rate.
@@ -411,6 +438,18 @@ RATES = (
 @example(n=2, start=0.0, pulse=1.0, noise=0.0, seed=0, rates=[GRID_RATE, 1e10])  # one block
 # 1 GHz samples in blocks 0, 3, 6 and 9 only; the pulse peaks in block 4 or 5.
 @example(n=60_001, start=0.0, pulse=0.5, noise=1e-3, seed=3, rates=[1e9, 600e9])
+# 1.5 GHz samples in blocks 0, 2, 4 and 6; the pulse peaks in block 3, which holds none.
+@example(n=45_000, start=0.0, pulse=0.5, noise=0.0, seed=0, rates=[1.5e9])
+# Samples every 6,002.5 points, none in block 1 (of 6,003 points), where the
+# pulse peaks: the largest lies between block 0's last point and block 1's
+# first, so block 1 is filtered for it alone.
+@example(n=12_000, start=0.0, pulse=0, noise=0.0, seed=0, rates=[1.0 / (6_002.5 * STEP)])
+# The peak in block 0, whose input has the zero lead.
+@example(n=45_000, start=0.0, pulse=0.05, noise=1e-3, seed=5, rates=[600e9, 1e12])
+# The peak at the end, in the last, partial block, where j is clipped to n - 2;
+# with n = 4 B + 1 that j is the last point of block 3, read with block 4's one point.
+@example(n=25_012, start=0.0, pulse=1.0, noise=1e-3, seed=6, rates=[GRID_RATE, 7e11])
+@example(n=24_013, start=0.0, pulse=1.0, noise=0.0, seed=0, rates=[GRID_RATE, 1e12])
 def test_sampling_toas_match_sampling_the_whole_lpf_output(
     tp2, n, start, pulse, noise, seed, rates
 ):
@@ -431,7 +470,10 @@ def test_sampling_toas_match_sampling_the_whole_lpf_output(
         samples[min(max(edge + pulse - lag, 0), n - 1)] += 1.0
     v = SignalTrace(start, STEP, samples)
     filtered = lpf_approximation(v, tp2)
-    assert sampling_toas(v, tp2, rates) == [_sampled_max_toa(filtered, f_s) for f_s in rates]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector, "_BlockLpf", _NanUntilFiltered)
+        toas = sampling_toas(v, tp2, rates)
+    assert toas == [_sampled_max_toa(filtered, f_s) for f_s in rates]
 
 
 def test_sampling_toas_filter_only_the_blocks_around_a_desk_peak(desk_traces, monkeypatch):
@@ -447,8 +489,7 @@ def test_sampling_toas_filter_only_the_blocks_around_a_desk_peak(desk_traces, mo
     traces, t_p = desk_traces
     for trace in traces:
         sampling_toas(trace, t_p, DESK_RATES)
-    assert len(made) == len(traces)
-    assert all(lpf.count >= 30 and 1 <= lpf.done.sum() <= 3 for lpf in made)
+    assert [(lpf.count, lpf.done.sum()) for lpf in made] == [(34, 1)] * len(traces)
 
 
 def test_matched_resolution_agreement(tp2):
