@@ -243,10 +243,10 @@ def sampling_toas(v: SignalTrace, t_p: float, rates) -> list[float]:
     sample between grid points j and j + 1 is at most the larger of the
     two, so at most the `_BlockLpf.bounds` of the block of j. Each rate
     visits blocks in descending bound order and skips those holding none
-    of its samples. It filters block b, and b + 1 when a sample of b lies
-    after b's last point, until its largest sample is above b's bound plus
-    1e-9 times the largest bound, a margin far above the rounding of the
-    bounds and transforms. Every sample left out is then below the rate's
+    of its samples. It filters block b, and b + 1 when a sample of b has j
+    on b's last point and so reads b + 1's first, until its largest sample
+    is above b's bound plus 1e-9 times the largest bound, a margin far
+    above the rounding of the bounds and transforms. Every sample left out is then below the rate's
     maximum, and ties keep the earliest sample, as `np.argmax` does. A
     block filtered for one rate is not filtered again for the next.
     """
