@@ -268,16 +268,16 @@ def sampling_toas(v: SignalTrace, t_p: float, rates) -> list[float]:
             if best > bound[b] + margin:
                 break
             # The k within 2 of block b's time span, then those whose j is in it.
-            a, z = b * size, (b + 1) * size
-            k0 = max(first, math.floor((start + a * step) * f_s) - 2)
-            k1 = min(last, math.ceil((start + z * step) * f_s) + 2)
+            j0, j1 = b * size, (b + 1) * size
+            k0 = max(first, math.floor((start + j0 * step) * f_s) - 2)
+            k1 = min(last, math.ceil((start + j1 * step) * f_s) + 2)
             t = np.arange(k0, k1 + 1) / f_s
             pos = (t - start) / step
             j = np.minimum(pos.astype(np.int64), n - 2)
-            lo, hi = np.searchsorted(j, (a, z))
+            lo, hi = np.searchsorted(j, (j0, j1))
             if hi > lo:
                 lpf.compute(b)
-                if j[hi - 1] == z - 1:  # its sample reads block b + 1's first point
+                if j[hi - 1] == j1 - 1:  # its sample reads block b + 1's first point
                     lpf.compute(b + 1)
                 values = _interpolate(lpf.samples, pos[lo:hi], j[lo:hi])
                 i = int(np.argmax(values))
