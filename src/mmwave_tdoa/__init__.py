@@ -14,7 +14,6 @@ from .detector import (
     ToaEstimate,
     iterative_toa,
     lpf_approximation,
-    pulse_start_from_toa,
     sampling_toas,
 )
 from .errors import ConfigurationError, SimulationError
@@ -62,7 +61,6 @@ __all__ = [
     "lpf_approximation",
     "noise_variance",
     "propagate",
-    "pulse_start_from_toa",
     "run_experiment",
     "sampling_toas",
     "solve_position",

@@ -295,9 +295,3 @@ def require_within_grid_rate(f_s: float, step: float) -> None:
             f"sampling rate {f_s:.3e} Hz exceeds the grid rate {grid_rate:.3e} Hz"
         )
 
-
-def pulse_start_from_toa(tau: float, t_p: float) -> float:
-    """Start time of the pulse whose energy peak was estimated at tau."""
-    if tau < t_p:
-        raise ConfigurationError("TOA precedes one pulse duration after the window start")
-    return tau - t_p

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import (
     C0,
-    AbsorptionTable,
     ChannelSpec,
     PathCache,
     _in_band_bins,
@@ -40,7 +39,6 @@ from .detector import (
     _windowed_energy,
     iterative_toa,
     lpf_approximation,
-    pulse_start_from_toa,
     require_resolvable,
     require_within_grid_rate,
     sampling_toas,
@@ -229,12 +227,25 @@ def default_absorption_path() -> str:
 
 @dataclass(frozen=True)
 class PreparedExperiment:
+    """One config's validated set-up, built once by `prepare`:
+
+    - config: the experiment; every stage reads it.
+    - t_p: the pulse's effective duration, the span of `_trace_toas`'s
+      energy window and LPF, and the shift of "start-corrected" TOAs.
+    - psd: the transmit PSD, None without noise; `_run_toas` reads it.
+    - paths: the one `PathCache`, with the pulse and absorption table;
+      `propagate` reads it, and `_run_toas` its table for the noise power.
+    - layout: the receivers; `_run_toas` and `toa_sweep` take each path
+      length from it, and `_localize` solves on it.
+    - banks, sampling_rates: the sweep points `_trace_toas` estimates at.
+    - ctma_offset, lpf_offset: each estimator's peak delay on the clean
+      pulse, the R1 offset of `_localize` (`peak_offset_s` in `toa_sweep`).
+    """
+
     config: ExperimentConfig
-    table: AbsorptionTable
-    tx: SignalTrace
     t_p: float
-    psd: tuple[np.ndarray, np.ndarray] | None  # transmit_psd, when noise is on
-    paths: PathCache  # every trace's shared path set-up
+    psd: tuple[np.ndarray, np.ndarray] | None
+    paths: PathCache
     layout: BsLayout
     banks: tuple[DetectorBankConfig, ...]
     sampling_rates: tuple[float, ...]
@@ -300,8 +311,6 @@ def prepare(cfg: ExperimentConfig) -> PreparedExperiment:
 
     return PreparedExperiment(
         config=cfg,
-        table=table,
-        tx=tx,
         t_p=t_p,
         psd=psd,
         paths=paths,
@@ -394,7 +403,7 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     rest of the shared set-up, the noise band-pass, itself. Each trace lives
     only inside its own `_trace_toas` call, so one received trace is in
     memory at a time."""
-    cfg, psd = prep.config, prep.psd
+    cfg, psd, table = prep.config, prep.psd, prep.paths.table
     for p_idx, (x, y) in enumerate(positions):
         chspecs = [
             ChannelSpec(
@@ -405,7 +414,7 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
             )
             for d in _distances(prep.layout, x, y)
         ]
-        powers = [0.0 if psd is None else noise_variance(s, prep.table, psd) for s in chspecs]
+        powers = [0.0 if psd is None else noise_variance(s, table, psd) for s in chspecs]
 
         for r_idx in range(cfg.n_runs):
             dump = dump_dir if p_idx == 0 and r_idx == 0 else None
@@ -497,16 +506,14 @@ def _timed(timings, key, fn, *args, **kwargs):
 
 
 def _localize(prep, position, taus, offset, estimator, alpha, f_s, p_idx, r_idx) -> TrialResult:
+    """Solve one trial from its energy-peak TOAs and peak offset; "start-corrected"
+    only reports each TOA less t_p, a shift that cancels out of every range."""
     cfg = prep.config
     x, y = position
+    triplet = ToaTriplet(*taus, common_offset_correction=offset)
+    est_x, est_y = solve_position(prep.layout, tdoa_ranges(triplet), r1_mode=cfg.r1_mode)
     if cfg.toa_mode == "start-corrected":
-        taus = [pulse_start_from_toa(t, prep.t_p) for t in taus]
-        offset = offset - prep.t_p
-    triplet = ToaTriplet(
-        tau1=taus[0], tau2=taus[1], tau3=taus[2], common_offset_correction=offset
-    )
-    ranges = tdoa_ranges(triplet)
-    est_x, est_y = solve_position(prep.layout, ranges, r1_mode=cfg.r1_mode)
+        taus = [t - prep.t_p for t in taus]
     return TrialResult(
         estimator=estimator,
         alpha=alpha,

@@ -228,6 +228,18 @@ def test_simulate_toa_writes_table(cfg_path, tmp_path):
     assert len(lines) == 1 + 2 * 3  # header + runs x receivers for one bank
 
 
+def test_simulate_toa_table_ignores_toa_mode(tmp_path):
+    """toa_vs_alpha.csv always reports energy-peak TOAs with peak_offset_s."""
+    tables = []
+    for toa_mode in ("peak", "start-corrected"):
+        path = tmp_path / f"{toa_mode}.json"
+        path.write_text(json.dumps({**TINY_CFG, "noise": False, "toa_mode": toa_mode}))
+        out = tmp_path / toa_mode
+        assert main(["simulate-toa", "--config", str(path), "--out", str(out)]) == 0
+        tables.append((out / "toa_vs_alpha.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_simulate_toa_writes_run_meta(cfg_path, tmp_path):
     out = tmp_path / "toa"
     assert main(["simulate-toa", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -355,9 +367,9 @@ def test_dump_traces_into_a_file_is_a_config_error(cfg_path, tmp_path, capsys, c
 
 @pytest.mark.parametrize("toa_mode", ["peak", "start-corrected"])
 def test_a_bank_too_coarse_to_localize_names_mq_pairs(tmp_path, capsys, toa_mode):
-    """A (2, 0) bank puts every noiseless TOA at 0 or 5 ns, below the peak
-    offset or one pulse duration; with noise any slot can win, so only the
-    run finds it."""
+    """A (2, 0) bank puts every noiseless TOA at 0 or 5 ns, and a reference
+    TOA of 0 lies below the peak offset under either toa_mode; with noise
+    any slot can win, so only the run finds it."""
     path = tmp_path / "coarse.json"
     cfg = {"mq_pairs": [[2, 0]], "estimator": "ctma", "noise": False, "n_positions": 2,
            "n_runs": 1, "toa_mode": toa_mode}

@@ -39,7 +39,7 @@ def _bank_slot(distance, prep, bank) -> int:
 def _calibration_lpf(prep):
     """The calibration trace of `harness._estimator_offsets` (the pulse
     with 4 t_p of zeros on each side) and its LPF output."""
-    tx, t_p = prep.tx, prep.t_p
+    tx, t_p = prep.paths.pulse, prep.t_p
     pad = int(round(4.0 * t_p / tx.step))
     samples = np.concatenate([np.zeros(pad), tx.samples, np.zeros(pad)])
     cal = SignalTrace(start_time=tx.start_time - pad * tx.step, step=tx.step, samples=samples)

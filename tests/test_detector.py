@@ -14,7 +14,6 @@ from mmwave_tdoa import (
     ToaEstimate,
     iterative_toa,
     lpf_approximation,
-    pulse_start_from_toa,
     noise_variance,
     propagate,
 )
@@ -378,7 +377,7 @@ def desk_traces():
     prep = prepare(cfg)
     assert cfg.sampling_rates == DESK_RATES
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
-    power = noise_variance(spec, prep.table, prep.psd)
+    power = noise_variance(spec, prep.paths.table, prep.psd)
     traces = [propagate(prep.paths, spec, seed=seed, noise_power=power) for seed in (0, 1, 2)]
     return traces, prep.t_p
 
@@ -504,24 +503,6 @@ def test_matched_resolution_agreement(tp2):
         tau_bank = iterative_toa(_windowed_energy(v, tp2), cfg).tau
         tau_sample = sampling_toas(v, tp2, [1.0 / delta])[0]
         assert abs(tau_bank - tau_sample) <= delta * (1.0 + 1e-9)
-
-
-# ------------------------------------------------------------- start-of-pulse
-
-
-def test_pulse_start_from_toa_examples():
-    assert pulse_start_from_toa(7.6e-9, 0.05e-9) == pytest.approx(7.55e-9)
-    assert pulse_start_from_toa(0.05e-9, 0.05e-9) == 0.0
-    with pytest.raises(ConfigurationError):
-        pulse_start_from_toa(0.04e-9, 0.05e-9)
-
-
-def test_start_correction_cancels_in_differences():
-    t_p = 8e-12
-    tau_a, tau_b = 5.1234e-9, 6.4321e-9
-    assert (pulse_start_from_toa(tau_b, t_p) - pulse_start_from_toa(tau_a, t_p)) == pytest.approx(
-        tau_b - tau_a
-    )
 
 
 def test_bank_config_validation():

@@ -119,7 +119,7 @@ def test_config_rejects_short_observation_window():
 def test_guard_radius_floor_is_the_pulse_lead():
     """A path shorter than c0 times the pulse's lead before its own time
     origin (4.45 mm here) would start the received pulse before t = 0."""
-    floor = -C0 * prepare(ExperimentConfig(**TINY)).tx.start_time
+    floor = -C0 * prepare(ExperimentConfig(**TINY)).paths.pulse.start_time
     assert 4.4e-3 < floor < 4.5e-3
     prepare(ExperimentConfig(**TINY, guard_radius=1.001 * floor))
     for guard_radius in (0.0, 0.999 * floor):
@@ -158,11 +158,11 @@ def test_prepare_and_sampling_toa_share_the_grid_rate_threshold():
     grid_rate = 1.0 / ExperimentConfig().step
     accepted, rejected = grid_rate * (1.0 + 5e-13), grid_rate * (1.0 + 1e-11)
     prep = prepare(ExperimentConfig(**{**TINY, "sampling_rates": (accepted,)}))
-    sampling_toas(prep.tx, prep.t_p, [accepted])
+    sampling_toas(prep.paths.pulse, prep.t_p, [accepted])
     with pytest.raises(ConfigurationError, match="sampling_rates"):
         prepare(ExperimentConfig(**{**TINY, "sampling_rates": (rejected,)}))
     with pytest.raises(ConfigurationError, match="grid rate"):
-        sampling_toas(prep.tx, prep.t_p, [rejected])
+        sampling_toas(prep.paths.pulse, prep.t_p, [rejected])
 
 
 def test_positions_respect_guard_ring():
@@ -257,14 +257,17 @@ def test_noise_free_error_bounded_by_quantization():
 
 
 def test_toa_modes_agree_on_positions():
+    """Both modes solve from the energy-peak TOAs; "start-corrected" only
+    reports each TOA less t_p."""
     cfg_peak = ExperimentConfig(**TINY, toa_mode="peak")
     cfg_start = ExperimentConfig(**TINY, toa_mode="start-corrected")
     trials_p, _, _ = run_experiment(cfg_peak)
     trials_s, _, _ = run_experiment(cfg_start)
-    prep = prepare(cfg_peak)
+    t_p = prepare(cfg_peak).t_p
+    assert len(trials_p) == len(trials_s) > 0
     for a, b in zip(trials_p, trials_s):
-        assert a.error_m == pytest.approx(b.error_m, abs=1e-15)
-        assert a.tau1_s - b.tau1_s == pytest.approx(prep.t_p, abs=1e-18)
+        assert (a.est_x_m, a.est_y_m, a.error_m) == (b.est_x_m, b.est_y_m, b.error_m)
+        assert (b.tau1_s, b.tau2_s, b.tau3_s) == (a.tau1_s - t_p, a.tau2_s - t_p, a.tau3_s - t_p)
 
 
 def test_quadratic_r1_mode_stays_accurate():
@@ -303,7 +306,7 @@ def test_dump_traces(tmp_path):
     files = sorted(p.name for p in (tmp_path / "traces").iterdir())
     assert files == ["pos000_run000_bs1.csv", "pos000_run000_bs2.csv", "pos000_run000_bs3.csv"]
     prep = prepare(cfg)
-    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
+    psd = transmit_psd(prep.paths.pulse, cfg.band, cfg.pulse_power)
     distances = _distances(prep.layout, *_draw_positions(cfg, prep.layout)[0])
     for b, (name, distance) in enumerate(zip(files, distances)):
         lines = (tmp_path / "traces" / name).read_text().splitlines()
@@ -316,10 +319,10 @@ def test_dump_traces(tmp_path):
             temperature=cfg.temperature,
         )
         trace = harness.propagate(
-            PathCache(prep.tx, prep.table, window=cfg.t_ob),
+            PathCache(prep.paths.pulse, prep.paths.table, window=cfg.t_ob),
             path,
             seed=_trace_seed(cfg.seed, 0, 0, b),
-            noise_power=noise_variance(path, prep.table, psd),
+            noise_power=noise_variance(path, prep.paths.table, psd),
         )
         # Shortest round-trip floats read back to the trace's own doubles.
         assert times.tobytes() == trace.times().tobytes()
@@ -336,7 +339,7 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     cfg = ExperimentConfig(**{**TINY, "n_runs": 3})
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)
-    psd = transmit_psd(prep.tx, cfg.band, cfg.pulse_power)
+    psd = transmit_psd(prep.paths.pulse, cfg.band, cfg.pulse_power)
     anchors = prep.layout.positions()
     real = harness.propagate
     seen = []
@@ -352,10 +355,10 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
             temperature=cfg.temperature,
         )
         fresh = real(
-            PathCache(prep.tx, prep.table, window=cfg.t_ob),
+            PathCache(prep.paths.pulse, prep.paths.table, window=cfg.t_ob),
             path,
             seed=_trace_seed(cfg.seed, p_idx, r_idx, b),
-            noise_power=noise_variance(path, prep.table, psd),
+            noise_power=noise_variance(path, prep.paths.table, psd),
         )
         assert np.array_equal(trace.samples, fresh.samples)
         seen.append((p_idx, r_idx, b))

@@ -22,8 +22,8 @@ def test_noisy_trace_faults_in_under_one_trace_of_pages():
     cfg = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
     prep = prepare(cfg)
     spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
-    power = noise_variance(spec, prep.table, transmit_psd(prep.tx, cfg.band, cfg.pulse_power))
     cache = prep.paths
+    power = noise_variance(spec, cache.table, transmit_psd(cache.pulse, cfg.band, cfg.pulse_power))
 
     def stages(seed):
         trace = propagate(cache, spec, seed=seed, noise_power=power)
