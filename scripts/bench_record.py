@@ -21,6 +21,10 @@ checkout of the parent commit (made with `git archive` or `git clone`); a
   byte-stable ones;
 - measures `ru_minflt` and `ru_stime` around one in-process `cli.main`
   call of the workload's command, the median of three fresh processes.
+  The fault count cannot resolve differences below about 12 pages: an
+  inert edit (a longer docstring, an unused function) moves it that much,
+  since code objects' sizes shift where `cli.main`'s objects land in the
+  heap, so a smaller difference reflects heap layout, not code.
 
 Each checkout runs its own `bench/run.py` and `src/`. Nothing under
 `bench/` is written; `bench/run.py` leaves its runs under `.bench_out/` of

@@ -91,69 +91,83 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
                                          k(f) = sum_j fraction_j * K_j(f) using
                                          the supplied mole-fraction map
 
-    Raises ConfigurationError naming the offending row on malformed input.
+    The file is UTF-8 text, with or without a leading byte-order mark. Each
+    row is checked as it is read, so on malformed input ConfigurationError
+    names the first faulty row in file order.
     """
+    # species -> its frequencies and coefficients, in file order
+    grids: dict[str | None, tuple[list[float], list[float]]] = {}
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigurationError(f"{path}: empty absorption file")
+            header = [h.strip().lower() for h in header]
+            per_species = header == ["frequency_hz", "species", "k_per_m"]
+            if header == ["frequency_hz", "k_per_m"]:
+                if mole_fractions is not None:
+                    raise ConfigurationError(
+                        f"{path}: a summed k_per_m table takes no species_fractions map"
+                    )
+                mole_fractions = {None: 1.0}
+            elif not per_species:
+                raise ConfigurationError(
+                    f"{path}: unrecognized header {header!r}; expected "
+                    "'frequency_hz,k_per_m' or 'frequency_hz,species,K_per_m'"
+                )
+            elif mole_fractions is None:
+                raise ConfigurationError(f"{path}: per-species table needs a mole-fraction map")
+            for lineno, row in enumerate(reader, start=2):
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ConfigurationError(
+                        f"{path}: row {lineno}: {len(row)} cells where the header has "
+                        f"{len(header)}: {row!r}"
+                    )
+                try:
+                    freq, value = float(row[0]), float(row[1 + per_species])
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}: row {lineno}: malformed row {row!r}"
+                    ) from None
+                if not (math.isfinite(freq) and math.isfinite(value)):
+                    raise ConfigurationError(f"{path}: row {lineno}: non-finite value in {row!r}")
+                if value < 0.0:
+                    raise ConfigurationError(
+                        f"{path}: row {lineno}: negative absorption coefficient {value}"
+                    )
+                species = row[1].strip() if per_species else None
+                if species not in mole_fractions:
+                    raise ConfigurationError(
+                        f"{path}: no mole fraction given for species {species!r}"
+                    )
+                freqs, values = grids.setdefault(species, ([], []))
+                if freqs and not freq > freqs[-1]:
+                    raise ConfigurationError(
+                        f"{path}: row {lineno}: frequencies must strictly increase"
+                    )
+                freqs.append(freq)
+                values.append(value)
     except OSError as exc:
         raise ConfigurationError(f"cannot read absorption table {path}: {exc}") from exc
-    with handle:
-        rows = _csv_rows(path, csv.reader(handle))
-        header = next(rows, None)
-        if header is None:
-            raise ConfigurationError(f"{path}: empty absorption file")
-        header = [h.strip().lower() for h in header]
-        per_species = header == ["frequency_hz", "species", "k_per_m"]
-        if header == ["frequency_hz", "k_per_m"]:
-            if mole_fractions is not None:
-                raise ConfigurationError(
-                    f"{path}: a summed k_per_m table takes no species_fractions map"
-                )
-            mole_fractions = {None: 1.0}
-        elif not per_species:
-            raise ConfigurationError(
-                f"{path}: unrecognized header {header!r}; expected "
-                "'frequency_hz,k_per_m' or 'frequency_hz,species,K_per_m'"
-            )
-        elif mole_fractions is None:
-            raise ConfigurationError(f"{path}: per-species table needs a mole-fraction map")
-
-        # species -> its (line number, frequency, coefficient) rows, in file order
-        grids: dict[str | None, list[tuple[int, float, float]]] = {}
-        for lineno, row in enumerate(rows, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ConfigurationError(
-                    f"{path}: row {lineno}: {len(row)} cells where the header has "
-                    f"{len(header)}: {row!r}"
-                )
-            try:
-                freq, value = float(row[0]), float(row[1 + per_species])
-            except ValueError:
-                raise ConfigurationError(f"{path}: row {lineno}: malformed row {row!r}") from None
-            if not (math.isfinite(freq) and math.isfinite(value)):
-                raise ConfigurationError(f"{path}: row {lineno}: non-finite value in {row!r}")
-            if value < 0.0:
-                raise ConfigurationError(
-                    f"{path}: row {lineno}: negative absorption coefficient {value}"
-                )
-            species = row[1].strip() if per_species else None
-            grids.setdefault(species, []).append((lineno, freq, value))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
 
     reference, k = [], 0.0
-    for species, entries in grids.items():
-        if species not in mole_fractions:
-            raise ConfigurationError(f"{path}: no mole fraction given for species {species!r}")
-        _require_increasing(path, entries)
-        freqs = [freq for _, freq, _ in entries]
+    for species, (freqs, values) in grids.items():
         if reference and freqs != reference:
             raise ConfigurationError(
                 f"{path}: species {species!r} is not tabulated on the same "
                 "frequency grid as the others"
             )
         reference = freqs
-        k = k + mole_fractions[species] * np.array([value for _, _, value in entries])
+        k = k + mole_fractions[species] * np.array(values)
     # An empty summed table lacks its unnamed species; AbsorptionTable rejects it.
     unknown = sorted(set(mole_fractions).difference(grids, [None]))
     if unknown:
@@ -162,31 +176,6 @@ def ingest_absorption(path, mole_fractions: dict[str, float] | None = None) -> A
             + ", ".join(map(repr, unknown))
         )
     return AbsorptionTable(frequencies=np.array(reference), k=k)
-
-
-def _csv_rows(path, reader):
-    """Yield reader's rows one at a time; a row that is not UTF-8 text, or
-    that the csv module cannot parse (a cell above its field size limit,
-    say), raises ConfigurationError naming the file."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(
-                f"cannot read absorption table {path}: not UTF-8 text ({exc.reason})"
-            ) from None
-        except csv.Error as exc:
-            raise ConfigurationError(f"{path}: row {reader.line_num}: {exc}") from None
-        yield row
-
-
-def _require_increasing(path, rows: list[tuple[int, float, float]]) -> None:
-    """Reject the first (line number, frequency, k) row not above the one before."""
-    for previous, (lineno, freq, _) in zip(rows, rows[1:]):
-        if not freq > previous[1]:
-            raise ConfigurationError(f"{path}: row {lineno}: frequencies must strictly increase")
 
 
 def _require_band_covered(table: AbsorptionTable, band: tuple[float, float]) -> None:

@@ -186,7 +186,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc

@@ -143,6 +143,24 @@ def test_ingest_rejects_a_row_with_extra_cells(tmp_path, text, fractions, messag
         ingest_absorption(path, fractions)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            "1e11,O2,0.01\n1e11,O2,0.02\n2e11,O2,x\n",
+            "row 3: frequencies must strictly increase",
+        ),
+        ("1e11,H2O,0.01\n2e11,O2,x\n", "no mole fraction given for species 'H2O'"),
+    ],
+    ids=["repeated-frequency-before-malformed", "unknown-species-before-malformed"],
+)
+def test_ingest_reports_the_first_faulty_row_in_file_order(tmp_path, rows, message):
+    path = tmp_path / "k.csv"
+    path.write_text("frequency_hz,species,K_per_m\n" + rows)
+    with pytest.raises(ConfigurationError, match=message):
+        ingest_absorption(path, {"O2": 1.0})
+
+
 def test_ingest_rejects_unknown_header(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("freq,k\n1.0e11,0.001\n")
@@ -190,6 +208,16 @@ def test_packaged_table_loads_as_loadtxt_reads_it():
     freqs, k = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     assert table.frequencies.tobytes() == freqs.tobytes()
     assert table.k.tobytes() == k.tobytes()
+
+
+def test_a_table_with_a_byte_order_mark_loads_like_the_plain_file(tmp_path):
+    """Windows Notepad and Excel's "CSV UTF-8" save UTF-8 with a leading BOM."""
+    marked = tmp_path / "k.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(default_absorption_path()).read_bytes())
+    a = ingest_absorption(default_absorption_path())
+    b = ingest_absorption(marked)
+    assert a.frequencies.tobytes() == b.frequencies.tobytes()
+    assert a.k.tobytes() == b.k.tobytes()
 
 
 def test_a_summed_table_loads_as_one_species_at_fraction_one(tmp_path):

@@ -136,6 +136,14 @@ def test_config_rejects_bad_modes_and_keys():
         ExperimentConfig.from_dict({"layout_sz": 2.0})
 
 
+def test_a_config_with_a_byte_order_mark_loads_like_the_plain_file(tmp_path):
+    """Windows Notepad and Excel's "CSV UTF-8" save UTF-8 with a leading BOM."""
+    desk = Path(__file__).parents[1] / "configs" / "desk_sweep.json"
+    marked = tmp_path / "desk_sweep.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + desk.read_bytes())
+    assert ExperimentConfig.from_file(marked) == ExperimentConfig.from_file(desk)
+
+
 def test_prepare_rejects_unresolvable_bank():
     cfg = ExperimentConfig(mq_pairs=((10, 5),), **{k: v for k, v in TINY.items() if k != "mq_pairs"})
     with pytest.raises(ConfigurationError, match="resolution"):
