@@ -14,7 +14,8 @@ noise-free or not, the returned estimate equals delta * floor(t*/delta)
 with t* the dense-grid argmax and delta the final resolution. The largest
 held maximum of a pass is the maximum over the union of its slots, and the
 earliest slot holding it (a tie goes to the earlier slot) is the slot of
-that union's first maximum, so each pass takes one argmax over its slots.
+that union's first maximum, the first maximum over [0, t_ob) in every pass,
+so the bank takes one argmax and each pass finds the slot that holds it.
 
 The sampling baseline needs only the time of the largest sample of the
 low-pass output, and its kernel is non-negative, so `sampling_toas` filters
@@ -22,7 +23,6 @@ block by block and only where that maximum can be (see its docstring).
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ class DetectorBankConfig:
     branches: CTMAs compared per pass (M >= 2).
     stages: fixed delay stages Q (passes = Q + 1).
     t_ob: observation window guaranteed to contain the pulse everywhere.
-    t_p: total pulse duration; also the CTMA integration window.
+    t_p: total pulse duration; enters only the t_ob > t_p check.
     """
 
     branches: int
@@ -194,28 +194,25 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     current interval (branch indexing runs backwards in time), and the
     branch with the largest held maximum wins; ties go to the larger m,
     i.e. the earlier slot. The slots tile the grid, so that branch owns the
-    first maximum of `energy` over the pass's slots: each pass takes that
-    one argmax and finds its slot. The single received trace is
+    first maximum of `energy` over [0, t_ob), found once; each pass walks
+    to its first slot that ends after it. The single received trace is
     re-presented to every pass, delay lines being modeled as ideal.
     """
     require_resolvable(cfg, energy.step)
     if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
         raise ConfigurationError("trace must cover the observation window [0, t_ob]")
 
-    x = energy.samples
+    i0, i1 = energy.index_range(0.0, cfg.t_ob)
+    peak = i0 + int(np.argmax(energy.samples[i0:i1]))
     m_count = cfg.branches
     selected: list[int] = []
     taus: list[float] = []
     slot_start = tau = 0.0
     for q in range(1, cfg.stages + 2):
         width = cfg.t_ob / m_count**q
-        # ends[j]: the end of slot j's index range, where slot j + 1 starts.
-        i0 = energy.index_range(slot_start, slot_start)[0]
-        ends = [
-            energy.index_range(slot_start, slot_start + (j + 1) * width)[1]
-            for j in range(m_count)
-        ]
-        best_j = bisect.bisect_right(ends, i0 + int(np.argmax(x[i0 : ends[-1]])))
+        best_j = 0  # slot ends grow to the trace size, above the peak
+        while energy.index_range(slot_start, slot_start + (best_j + 1) * width)[1] <= peak:
+            best_j += 1
         selected.append(m_count - best_j)  # earlier slot = larger branch index
         slot_start += best_j * width
         taus.append(slot_start)

@@ -131,7 +131,8 @@ class ExperimentConfig:
             if not isinstance(self.species_fractions, dict):
                 raise ConfigurationError("species_fractions must map species names to numbers")
             for species, fraction in self.species_fractions.items():
-                _real(f"species_fractions[{species!r}]", fraction)
+                if not 0.0 <= _real(f"species_fractions[{species!r}]", fraction) <= 1.0:
+                    raise ConfigurationError(f"species_fractions[{species!r}] must be in [0, 1]")
         band = _reals("band", self.band, length=2)
         pairs = tuple(
             tuple(_integer("mq_pairs entry", v) for v in _items("mq_pairs entry", pair))
@@ -532,9 +533,9 @@ def _localize(prep, position, taus, offset, estimator, alpha, f_s, p_idx, r_idx)
 
 
 def aede(trials) -> float:
-    """Average Euclidean distance error: mean over positions of the
-    per-position mean over runs. Requires one homogeneous estimator group
-    with every (position, run) cell present exactly once."""
+    """Average Euclidean distance error: the mean over positions of each
+    position's mean over the runs it holds. Requires one homogeneous
+    estimator group and no (position, run) cell twice."""
     trials = list(trials)
     if not trials:
         raise ConfigurationError("cannot average an empty trial collection")

@@ -262,7 +262,7 @@ SHAPES = [(m, q) for m in range(2, 13) for q in range(14) if T_OB / m ** (q + 1)
 @given(
     shape=st.sampled_from(SHAPES),
     start=st.sampled_from([0.0, -0.3 * STEP]),
-    kind=st.sampled_from(["zero", "integer", "edges", "noise"]),
+    kind=st.sampled_from(["zero", "integer", "edges", "noise", "lead"]),
     density=st.floats(1e-5, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -271,13 +271,16 @@ SHAPES = [(m, q) for m in range(2, 13) for q in range(14) if T_OB / m ** (q + 1)
 @example(shape=(12, 3), start=-0.3 * STEP, kind="edges", density=1.0, seed=2)
 @example(shape=(12, 3), start=0.0, kind="integer", density=1e-4, seed=3)
 @example(shape=(2, 13), start=0.0, kind="integer", density=0.3, seed=4)
+@example(shape=(2, 3), start=-0.3 * STEP, kind="lead", density=0.75, seed=5)
 def test_first_maximum_picks_the_slot_of_the_largest_slot_maximum(
     tp2, shape, start, kind, density, seed
 ):
     """kind: "zero" ties every point; "integer" draws 0-3 at a density of
     the points, so exact ties fall across slots; "edges" puts equal spikes
     on the two grid points either side of random final-cell edges, which
-    are slot edges of every pass; "noise" has no ties."""
+    are slot edges of every pass; "noise" has no ties; "lead" puts the
+    largest value on index 0, before the window when start < 0, and a
+    smaller spike at index density * (N_OB - 1)."""
     cfg = bank(*shape, tp2)
     rng = np.random.default_rng(seed)
     grid = SignalTrace(start, STEP, np.zeros(N_OB))
@@ -290,6 +293,8 @@ def test_first_maximum_picks_the_slot_of_the_largest_slot_maximum(
             x[i - 1 : i + 1] = 1.0
     elif kind == "noise":
         x = rng.random(N_OB)
+    elif kind == "lead":
+        x[0], x[int(density * (N_OB - 1))] = 2.0, 1.0
     energy = SignalTrace(start, STEP, x)
     assert iterative_toa(energy, cfg) == _slot_max_toa(energy, cfg)
 
