@@ -450,10 +450,10 @@ def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkey
         ({"guard_radius": 1.5}, "guard_radius"),
         ({"absorption_path": "missing.csv"}, "absorption table"),
         ({"species_fractions": {"H2O": 0.5}}, "species_fractions"),  # summed table
-        ({"species_fractions": {"H2O": -0.5}}, "species_fractions['H2O']"),
-        ({"species_fractions": {"H2O": 1.5}}, "species_fractions['H2O']"),
         ({"t_ob": 0.0}, "t_ob"),
         ({"t_ob": -1e-8}, "t_ob"),
+        ({"species_fractions": {"H2O": -0.5}}, "species_fractions['H2O']"),
+        ({"species_fractions": {"H2O": 1.5}}, "species_fractions['H2O']"),
     ],
 )
 def test_validate_config_rejects_malformed_field(tmp_path, capsys, override, field):
