@@ -19,8 +19,11 @@ checkout of the parent commit (made with `git archive` or `git clone`); a
   metrics;
 - keeps the sha256 of every output file of each side, and names the
   byte-stable ones;
-- measures `ru_minflt` and `ru_stime` around one in-process `cli.main`
-  call of the workload's command, the median of three fresh processes.
+- measures `ru_minflt`, `ru_stime`, `ru_utime` and the wall time
+  `wall_s` around one in-process `cli.main` call of the workload's
+  command, the median of three fresh processes. The two rusage times are
+  CPU seconds of all the process's threads, so beside `wall_s` they tell
+  a gain from a second core apart from a gain from less work.
   The fault count cannot resolve differences below about 12 pages: an
   inert edit (a longer docstring, an unused function) moves it that much,
   since code objects' sizes shift where `cli.main`'s objects land in the
@@ -51,7 +54,7 @@ REPEATS = 3  # fresh processes per side for the rusage probe
 
 # Runs one command in-process and prints the rusage deltas around it.
 RUSAGE_PROBE = """
-import contextlib, io, json, resource, sys, tempfile, os
+import contextlib, io, json, resource, sys, tempfile, time, os
 import numpy.fft, numpy.random
 from mmwave_tdoa import cli
 command, config = sys.argv[1], json.loads(sys.argv[2])
@@ -60,12 +63,13 @@ with tempfile.TemporaryDirectory() as work:
     with open(path, "w") as handle:
         json.dump(config, handle)
     argv = [command, "--config", path, "--out", os.path.join(work, "out")]
-    before = resource.getrusage(resource.RUSAGE_SELF)
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    after = resource.getrusage(resource.RUSAGE_SELF)
+    after, wall = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter() - start
 print(json.dumps({"exit_code": code, "ru_minflt": after.ru_minflt - before.ru_minflt,
-                  "ru_stime": after.ru_stime - before.ru_stime}))
+                  "ru_stime": after.ru_stime - before.ru_stime,
+                  "ru_utime": after.ru_utime - before.ru_utime, "wall_s": wall}))
 """
 
 
@@ -95,7 +99,7 @@ def rusage_per_call(checkout: str, workload, seed: int) -> dict:
         calls.append(json.loads(done.stdout.splitlines()[-1]))
     return {
         key: statistics.median(call[key] for call in calls)
-        for key in ("ru_minflt", "ru_stime")
+        for key in ("ru_minflt", "ru_stime", "ru_utime", "wall_s")
     } | {"calls": calls}
 
 

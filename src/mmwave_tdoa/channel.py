@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,15 +254,30 @@ def _fast_length(minimum: int) -> int:
     return best
 
 
-def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
-    """Mask of the n-point rfft bins inside the band. Raises
+def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> tuple[int, int]:
+    """The first and last n-point rfft bins inside the band, ka and kb: the
+    bins k whose frequencies k * (1 / (n step)), the products that
+    `np.fft.rfftfreq` forms, lie in [f1, f2], found from the band's ends
+    without an array over the grid (kb < ka when no bin does). Raises
     ConfigurationError unless they keep the share 2 (f2 - f1) step of a
     white sequence's power that `_band_limited_noise` scales by, within
     1 %: a band above the grid's Nyquist frequency 1 / (2 step), or one
     that holds few bins or none, keeps another share."""
-    freqs = np.fft.rfftfreq(n, step)
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    bins = np.count_nonzero(mask)
+    spacing, top = 1.0 / (n * step), n // 2
+
+    def first_bin(f: float, past) -> int:
+        """The first k in 0..top + 1 with past(k * spacing, f), a test that
+        holds from some k on, as the products grow with k: searched from
+        the bin f / spacing rounded up."""
+        k = math.ceil(min(f / spacing, top + 1))
+        while k > 0 and past((k - 1) * spacing, f):
+            k -= 1
+        while k <= top and not past(k * spacing, f):
+            k += 1
+        return k
+
+    ka, kb = first_bin(band[0], operator.ge), first_bin(band[1], operator.gt) - 1
+    bins = max(kb - ka + 1, 0)
     ratio = bins / (n * (band[1] - band[0]) * step)
     if not abs(ratio - 1.0) <= 0.01:
         raise ConfigurationError(
@@ -269,7 +286,7 @@ def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
             f"2 (f2 - f1) step of the noise power; it must lie below the grid's Nyquist "
             f"frequency {0.5 / step:.3e} Hz and span many {1.0 / (n * step):.3e} Hz bins"
         )
-    return mask
+    return ka, kb
 
 
 def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
@@ -280,8 +297,7 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     cos(pi (ka + kb) t / n) sin(pi M t / n) / sin(pi t / n), h[0] = 2 M / n.
     The band starts above bin 0 (`ExperimentConfig` keeps it positive); a
     Nyquist bin n / 2 in it is counted once, as irfft does."""
-    bins = np.flatnonzero(_in_band_bins(n, step, band))
-    ka, kb = int(bins[0]), int(bins[-1])
+    ka, kb = _in_band_bins(n, step, band)
     m = kb - ka + 1
 
     def sin_quarter_turns(s):
@@ -309,25 +325,58 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return kernel
 
 
+_HELPER = None  # (pid, executor) of the process's one transform helper thread
+
+
+def _helper():
+    """The one-thread executor that `_transform_pair` runs its second
+    transform on. Started by the first caller in each process, so runs
+    without noise start no thread, and a forked child, which the thread is
+    not forked into, starts its own."""
+    global _HELPER
+    if _HELPER is None or _HELPER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="noise-fft"))
+    return _HELPER[1]
+
+
+def _transform_pair(transform, inputs, length: int, out: np.ndarray) -> None:
+    """transform(inputs[i], length, out=out[i]) for i = 0, 1, the second on
+    `_helper`'s thread beside the first on this one: numpy's pocketfft
+    releases the GIL, so the two run on two cores. The caller allocates
+    `out`, so the helper's own heap holds only pocketfft's scratch."""
+    pending = _helper().submit(transform, inputs[1], length, out=out[1])
+    transform(inputs[0], length, out=out[0])
+    pending.result()
+
+
 @functools.lru_cache(maxsize=4)
 def _noise_kernel_spectrum(
     n: int, step: float, band: tuple[float, float]
 ) -> tuple[int, np.ndarray]:
-    """FFT length `_fast_length(2 n - 1)` and the spectrum, at that length,
-    of the n-point `_band_pass(n, step, band)`. Memoized on its values, and
+    """The half length M = `_fast_length(n)` and, as the rows of one
+    array, three rfft at M of the n-point `_band_pass(n, step, band)` h:
+    of its even samples h[0::2], of its odd samples h[1::2], and of its odd
+    samples delayed one step. `_band_limited_noise` combines them into a
+    linear convolution of 2 M points. Memoized on its values, and
     read-only, because every noisy trace of an experiment shares it: the
     first noisy trace builds it."""
-    length = _fast_length(2 * n - 1)
-    spectrum = np.fft.rfft(_band_pass(n, step, band), length)
-    spectrum.flags.writeable = False
-    return length, spectrum
+    length = _fast_length(n)
+    kernel = _band_pass(n, step, band)
+    spectra = np.empty((3, length // 2 + 1), dtype=np.complex128)
+    _transform_pair(np.fft.rfft, (kernel[0::2], kernel[1::2]), length, spectra)
+    np.multiply(spectra[1], _delay_phase(length, step, step), out=spectra[2])
+    spectra.flags.writeable = False
+    return length, spectra
 
 
 def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
-    `PathCache`, for the longest transform a trace runs, the noise's
-    `_fast_length(2 n_out - 1)` points.
+    `PathCache`, for the largest arrays a trace allocates, the noise's two
+    rows of transforms at the half length `_fast_length(n_out)`: 2
+    `_fast_length(n_out)` points.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold
@@ -343,24 +392,52 @@ def _keep_heap_pages(n: int) -> None:
 def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], power: float):
     """White Gaussian noise restricted to the band, with total power `power`.
 
-    The n-point white draw goes through the circular band-pass of
-    `_noise_kernel_spectrum(n, step, band)` as a linear convolution at a
-    fast length, folded back onto n points: the same noise as zeroing the
-    out-of-band bins of an n-point rfft, to rounding, without a transform
-    at the length n (a slow one when n has large prime factors).
+    The n-point white draw x goes through the n-point circular band-pass h
+    of `_noise_kernel_spectrum(n, step, band)` as a linear convolution y =
+    h * x of 2n - 1 points, folded back onto n points: the same noise as
+    zeroing the out-of-band bins of an n-point rfft, to rounding, without a
+    transform at the length n (a slow one when n has large prime factors).
+    y is found as its even and odd points (Cooley and Tukey's decimation in
+    time), each an irfft at the half length M: with E and O the rfft at M
+    of x[0::2] and x[1::2], and He, Ho and Hd the kernel's even, odd and
+    delayed odd rows, y[0::2] = irfft(He E + Hd O) and y[1::2] = irfft(Ho E
+    + He O). Each pair of transforms runs on two threads (`_transform_pair`).
     """
-    length, kernel = _noise_kernel_spectrum(n, step, band)
-    spectrum = np.fft.rfft(rng.standard_normal(n), length)
-    spectrum *= kernel
-    shaped = np.fft.irfft(spectrum, length)
-    del spectrum
-    # The linear convolution has 2n - 1 points; point k + n wraps onto k.
-    shaped[: n - 1] += shaped[n : 2 * n - 1]
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
     # of its power inside the band (within 1 %, by `_in_band_bins`); rescale
     # to the requested total power.
-    kept = 2.0 * (band[1] - band[0]) * step
-    return shaped[:n] * np.sqrt(power / kept)
+    scale = np.sqrt(power / (2.0 * (band[1] - band[0]) * step))
+    if not np.isfinite(scale):
+        raise ConfigurationError(f"noise power {power:.3e} W overflows the noise scale")
+    length, (even, odd, delayed) = _noise_kernel_spectrum(n, step, band)
+    white = rng.standard_normal(n)
+    spectra = np.empty((2, length // 2 + 1), dtype=np.complex128)
+    _transform_pair(np.fft.rfft, (white[0::2], white[1::2]), length, spectra)
+    del white
+    # In place, row 0 becomes He E + Hd O and row 1 Ho E + He O.
+    on_even, on_odd = spectra
+    odd_on_even = odd * on_even
+    on_even *= even
+    on_even += delayed * on_odd
+    on_odd *= even
+    on_odd += odd_on_even
+    del odd_on_even
+    halves = np.empty((2, length))
+    _transform_pair(np.fft.irfft, spectra, length, halves)
+    del spectra, on_even, on_odd
+    # y[k] = halves[k % 2][k // 2]; point k + n of y wraps onto k < n - 1.
+    received = np.empty(n)
+    for parity in (0, 1):
+        part, wrapped = received[parity::2], (n - parity) // 2
+        offset = (parity + n) // 2
+        np.add(
+            halves[parity][:wrapped],
+            halves[(parity + n) % 2][offset : offset + wrapped],
+            out=part[:wrapped],
+        )
+        part[wrapped:] = halves[parity][wrapped : part.size]
+    received *= scale
+    return received
 
 
 def arrival_start(pulse: SignalTrace, distance: float, window: float) -> float:
@@ -402,7 +479,7 @@ class PathCache:
     points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
     at the short transform length L = `_fast_length(pulse + 2 G)`, with G
     the `GUARD` in grid steps, and the experiment's one block of kept heap
-    pages (`_keep_heap_pages`), sized for the noise's transform. It holds
+    pages (`_keep_heap_pages`), sized for the noise's transforms. It holds
     no per-path state."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
@@ -410,7 +487,7 @@ class PathCache:
         self.n_out = int(round(window / pulse.step)) + 1
         self.guard = int(round(GUARD / pulse.step))
         self.length = _fast_length(pulse.samples.size + 2 * self.guard)
-        _keep_heap_pages(_fast_length(2 * self.n_out - 1))
+        _keep_heap_pages(2 * _fast_length(self.n_out))
         self.spectrum = np.fft.rfft(pulse.samples, self.length)
         self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.length, pulse.step))
 
@@ -421,8 +498,9 @@ class PathCache:
         applied. i0 lies G steps before the grid point at or below the
         pulse's arrival, so the phase delays the pulse by G steps and a
         fraction, and G steps of the piece's end guard its wrap-around. The
-        table must cover the band and the whole pulse must arrive inside
-        the window; both are checked on every call."""
+        table must cover the band, the whole pulse must arrive inside the
+        window and the piece must be finite; all three are checked on every
+        call."""
         _require_band_covered(self.table, spec.band)
         start = arrival_start(self.pulse, spec.distance, self.window)
         step = self.pulse.step
@@ -430,7 +508,13 @@ class PathCache:
         amplitude = C0 / (4.0 * np.pi * spec.distance * spec.center_frequency)
         product = self.spectrum * (amplitude * np.exp(self.absorption * spec.distance))
         product *= _delay_phase(self.length, step, start - i0 * step)
-        return i0, np.fft.irfft(product, self.length)
+        piece = np.fft.irfft(product, self.length)
+        if not np.isfinite(piece).all():
+            raise ConfigurationError(
+                f"the waveform received over {spec.distance:.3e} m at "
+                f"{spec.center_frequency:.3e} Hz is not finite"
+            )
+        return i0, piece
 
 
 def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> SignalTrace:
@@ -446,6 +530,8 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     into zeros without noise, clipped to the window.
     Deterministic given the seed.
     """
+    if not math.isfinite(noise_power):
+        raise ConfigurationError(f"noise power must be finite, not {noise_power}")
     if noise_power < 0.0:
         raise SimulationError("noise power must be non-negative")
     i0, piece = cache.piece(spec)
@@ -457,4 +543,4 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
         received = np.zeros(cache.n_out)
     lo, hi = max(i0, 0), min(i0 + piece.size, cache.n_out)
     received[lo:hi] += piece[lo - i0 : hi - i0]
-    return SignalTrace(start_time=0.0, step=step, samples=received)
+    return SignalTrace._from_checked(0.0, step, received)

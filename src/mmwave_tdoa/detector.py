@@ -99,10 +99,15 @@ def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     w = int(round(t_win / v.step))
     if w < 1:
         raise ConfigurationError("integration window shorter than one grid step")
-    squared = v.samples * v.samples
-    cum = np.concatenate([np.zeros(w + 1), np.cumsum(squared)])
-    energy = (cum[w + 1 :] - cum[1 : -w]) * v.step
-    return SignalTrace(start_time=v.start_time, step=v.step, samples=energy)
+    # One buffer: w + 1 zeros, then v^2, summed in place; the difference of
+    # its running sums w apart lands on its first n points.
+    n = v.samples.size
+    cum = np.zeros(n + w + 1)
+    np.multiply(v.samples, v.samples, out=cum[w + 1 :])
+    np.cumsum(cum, out=cum)
+    energy = np.subtract(cum[w + 1 :], cum[1 : n + 1], out=cum[:n])
+    energy *= v.step
+    return SignalTrace._from_checked(v.start_time, v.step, energy)
 
 
 @functools.lru_cache(maxsize=4)

@@ -31,6 +31,16 @@ class SignalTrace:
         if not np.all(np.isfinite(samples)):
             raise ConfigurationError("trace samples must all be finite")
 
+    @classmethod
+    def _from_checked(cls, start_time: float, step: float, samples: np.ndarray) -> SignalTrace:
+        """The trace of a 1-D float64 array that its caller built from
+        checked, finite parts, without the constructor's pass over every
+        sample."""
+        trace = object.__new__(cls)
+        for name, value in (("start_time", start_time), ("step", step), ("samples", samples)):
+            object.__setattr__(trace, name, value)
+        return trace
+
     def __len__(self) -> int:
         return self.samples.size
 

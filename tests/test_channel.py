@@ -1,5 +1,11 @@
+import math
+import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +360,26 @@ def test_propagation_deterministic_given_seed(pulse2, flat_table):
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("power", [math.inf, math.nan])
+def test_propagation_rejects_a_non_finite_noise_power_before_any_transform(
+    pulse2, flat_table, monkeypatch, power
+):
+    cache = PathCache(pulse2, flat_table, window=10e-9)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the noise power was checked")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_transform)
+    with pytest.raises(ConfigurationError, match="noise power must be finite"):
+        propagate(cache, spec_at(1.0), seed=0, noise_power=power)
+
+
+def test_the_trace_constructor_still_rejects_a_non_finite_sample():
+    with pytest.raises(ConfigurationError, match="finite"):
+        SignalTrace(0, 5e-14, [np.nan])
+
+
 def test_propagation_window_overflow_names_requirement(pulse2, lossless_table):
     with pytest.raises(ConfigurationError, match="at least"):
         propagate(PathCache(pulse2, lossless_table, window=5e-9), spec_at(C0 * 9e-9), 0, 0.0)
@@ -513,14 +539,108 @@ def _direct_band_limited_noise(rng, n, step, band, power):
     return np.fft.irfft(spectrum, n) * np.sqrt(power / kept)
 
 
-@pytest.mark.parametrize("n", [200_001, 200_000])
+@pytest.mark.parametrize("n", [200_001, 200_000, 16_875, 16_874])
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
+    """At 16,875 and 16,874 points the half length `_fast_length(n)` is
+    odd (16,875), so its rfft holds no Nyquist bin."""
     step = 5e-14
     fast = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
     direct = _direct_band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
     rms = np.sqrt(np.mean(direct * direct))
     assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
+
+
+class _Inline:
+    """Runs each submitted call at once, on the calling thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        done = Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
+
+
+@pytest.mark.parametrize("n", [200_001, 16_874])
+def test_the_noise_is_bit_identical_with_the_helper_run_inline(monkeypatch, n):
+    step = 5e-14
+    _noise_kernel_spectrum.cache_clear()
+    threaded = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
+    kernel = _noise_kernel_spectrum(n, step, BAND)[1]
+    monkeypatch.setattr(channel, "_helper", _Inline)
+    _noise_kernel_spectrum.cache_clear()
+    inline = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
+    assert np.array_equal(_noise_kernel_spectrum(n, step, BAND)[1], kernel)
+    assert np.array_equal(inline, threaded)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
+    """The helper thread is not forked into the child; the child starts its
+    own on its first transform pair instead of waiting on the parent's."""
+    n, step = 20_001, 5e-14
+    parent = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
+    assert channel._HELPER[0] == os.getpid()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a process with threads may deadlock.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
+            code = 0 if np.array_equal(child, parent) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its noise within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _rfftfreq_mask(n, step, band):
+    """Reference: the n-point rfft bins whose frequencies lie in the band."""
+    freqs = np.fft.rfftfreq(n, step)
+    return (freqs >= band[0]) & (freqs <= band[1])
+
+
+def _band_cases(n, step):
+    """Bands whose edges are, in turn, inside bins, on bins, one ulp inside
+    bins, up to the grid's last bin (its Nyquist bin n / 2 for an even n),
+    and bands that the rule rejects: above the Nyquist frequency, between
+    two bins."""
+    freqs = np.fft.rfftfreq(n, step)
+    lo, hi = freqs[n // 40], freqs[n // 8]
+    return {
+        "inside": (BAND, True),
+        "on bins": ((lo, hi), True),
+        "an ulp inside": ((np.nextafter(lo, np.inf), np.nextafter(hi, 0.0)), True),
+        "up to the last bin": ((lo, freqs[-1]), True),
+        "above nyquist": ((100e9, 0.6 / step), False),
+        "between two bins": ((np.nextafter(lo, np.inf), np.nextafter(freqs[n // 40 + 1], 0.0)), False),
+    }
+
+
+@pytest.mark.parametrize("n", [20_000, 20_001, 200_000, 200_001])
+@pytest.mark.parametrize(
+    "case",
+    ["inside", "on bins", "an ulp inside", "up to the last bin", "above nyquist", "between two bins"],
+)
+def test_in_band_bins_match_the_rfftfreq_mask(n, case):
+    step = 5e-14
+    band, carried = _band_cases(n, step)[case]
+    bins = np.flatnonzero(_rfftfreq_mask(n, step, band))
+    if carried:
+        assert _in_band_bins(n, step, band) == (bins[0], bins[-1])
+    else:
+        with pytest.raises(ConfigurationError, match=f" holds {bins.size} rfft bins of the"):
+            _in_band_bins(n, step, band)
 
 
 @pytest.mark.parametrize(
@@ -534,7 +654,7 @@ def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
 )
 def test_the_closed_form_band_pass_matches_an_n_point_irfft_of_its_bins(n, band):
     step = 5e-14
-    reference = np.fft.irfft(_in_band_bins(n, step, band).astype(np.float64), n)
+    reference = np.fft.irfft(_rfftfreq_mask(n, step, band).astype(np.float64), n)
     kernel = _band_pass(n, step, band)
     assert np.max(np.abs(kernel - reference)) <= 1e-15 * np.max(reference)
 
@@ -569,9 +689,9 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
     for seed in (1, 2):
         rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
-    # Per trace: the path piece's irfft, then the noise's rfft and irfft;
-    # the first trace also runs the band-pass's rfft.
-    assert len(lengths) == 7
+    # Per trace: the path piece's irfft, then the noise's pair of rfft and
+    # pair of irfft; the first trace also runs the band-pass's pair of rfft.
+    assert len(lengths) == 12
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 
@@ -594,11 +714,12 @@ def test_noise_band_pass_is_cached_by_value_and_read_only():
     hits = _noise_kernel_spectrum.cache_info().hits
     assert _noise_kernel_spectrum(n, step, tuple([1e11, 3e11]))[1] is kernel
     assert _noise_kernel_spectrum.cache_info().hits == hits + 1
-    assert length == _fast_length(2 * n - 1) == 405_000
-    assert kernel.size == length // 2 + 1
+    assert length == _fast_length(n) == 202_500
+    assert 2 * length == _fast_length(2 * n - 1)
+    assert kernel.shape == (3, length // 2 + 1)  # even, odd and delayed odd rows
     assert not kernel.flags.writeable
     with pytest.raises(ValueError):
-        kernel[0] = 0.0
+        kernel[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("step", [0.05e-12, 0.1e-12, 0.25e-12])
@@ -607,13 +728,15 @@ def test_the_path_cache_keeps_heap_pages_for_every_per_trace_array(
     flat_table, monkeypatch, t_ob, step
 ):
     """`PathCache` keeps the one block of heap pages, 4 times the noise's
-    transform length L = `_fast_length(2 n_out - 1)` in doubles. Every
-    per-trace array fits in it, the noise's L doubles, the trace's n_out
-    and the path piece's `cache.length`, so no second caller is needed."""
+    two rows of half-length transforms, 2 M = 2 `_fast_length(n_out)`, in
+    doubles. Every per-trace array fits in it, the noise's two rows of M
+    doubles or M / 2 + 1 complex bins, the trace's n_out and the path
+    piece's `cache.length`, so no second caller is needed."""
     kept = []
     monkeypatch.setattr(channel, "_keep_heap_pages", kept.append)
     pulse = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step)
     cache = PathCache(pulse, flat_table, window=t_ob)
-    length = _fast_length(2 * cache.n_out - 1)
-    assert kept == [length]
-    assert cache.n_out <= length and cache.length <= length
+    half = _fast_length(cache.n_out)
+    assert kept == [2 * half]
+    assert 4 * (half // 2 + 1) <= 4 * 2 * half
+    assert cache.n_out <= 2 * half and cache.length <= 2 * half

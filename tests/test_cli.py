@@ -83,6 +83,13 @@ def test_simulate_toa_without_bank_fails_before_propagating(
     assert "estimator" in err and "mq_pairs" in err
 
 
+def test_an_infinite_noise_power_exits_2_naming_it(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "noise_variance", lambda *args: math.inf)
+    argv = ["simulate-tdoa", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "noise power must be finite" in capsys.readouterr().err
+
+
 # A received pulse must start inside the window: every path must be longer
 # than c0 times the pulse's lead before its time origin (4.45 mm here).
 NEAR_EDGE_CONFIGS = [

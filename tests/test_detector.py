@@ -81,6 +81,33 @@ def test_max_matches_brute_force_sliding_sum():
     assert argmax == pytest.approx((i0 + np.argmax(direct)) * 1e-12, abs=1e-12)
 
 
+def _three_array_windowed_energy(samples, w, step):
+    """Reference: square, cumsum after w + 1 zeros, difference, scale, each
+    in a new array."""
+    squared = samples * samples
+    cum = np.concatenate([np.zeros(w + 1), np.cumsum(squared)])
+    return (cum[w + 1 :] - cum[1:-w]) * step
+
+
+@pytest.mark.parametrize("n", [1, 2, 4000, 200_001])
+@pytest.mark.parametrize(
+    "window",
+    [
+        pytest.param(lambda n: 1, id="w=1"),
+        pytest.param(lambda n: 137, id="w=137"),
+        pytest.param(lambda n: n - 1, id="w=n-1"),
+        pytest.param(lambda n: n, id="w=n"),
+    ],
+)
+def test_windowed_energy_in_one_buffer_is_bit_identical(n, window):
+    w = max(window(n), 1)
+    step = 5e-14
+    samples = np.random.default_rng(n + w).normal(scale=1e-3, size=n)
+    energy = _windowed_energy(SignalTrace(0.3 * step, step, samples), w * step)
+    assert np.array_equal(energy.samples, _three_array_windowed_energy(samples, w, step))
+    assert (energy.start_time, energy.step, len(energy)) == (0.3 * step, step, n)
+
+
 # ------------------------------------------------------------------- the lpf
 
 

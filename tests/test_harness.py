@@ -1,6 +1,7 @@
 import dataclasses
 import platform
 import resource
+import threading
 import weakref
 from pathlib import Path
 
@@ -404,6 +405,19 @@ def test_prepare_builds_the_one_path_cache_every_trace_uses(monkeypatch, entry):
     getattr(harness, entry)(ExperimentConfig(**TINY))
     assert built == [0] and len(preps) == 1
     assert traces and set(traces) == {preps[0].paths.n_out}
+
+
+def test_a_noiseless_experiment_starts_no_thread(monkeypatch):
+    """Without noise no transform pair runs, so the helper thread is never
+    created and nothing is started."""
+
+    def refuse(self):
+        raise AssertionError(f"a noiseless run started the thread {self.name}")
+
+    monkeypatch.setattr(channel, "_HELPER", None)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    run_experiment(ExperimentConfig(**{**TINY, "noise": False}))
+    assert channel._HELPER is None
 
 
 def test_noise_band_pass_is_built_once_per_experiment():
