@@ -17,6 +17,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,6 +327,7 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
 
 
 _HELPER = None  # (pid, executor) of the process's one transform helper thread
+_HELPER_LOCK = threading.Lock()
 
 
 def _helper():
@@ -334,11 +336,12 @@ def _helper():
     without noise start no thread, and a forked child, which the thread is
     not forked into, starts its own."""
     global _HELPER
-    if _HELPER is None or _HELPER[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
+    with _HELPER_LOCK:
+        if _HELPER is None or _HELPER[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
 
-        _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="noise-fft"))
-    return _HELPER[1]
+            _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="noise-fft"))
+        return _HELPER[1]
 
 
 def _transform_pair(transform, inputs, length: int, out: np.ndarray) -> None:

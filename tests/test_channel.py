@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +571,26 @@ def test_the_noise_is_bit_identical_with_the_helper_run_inline(monkeypatch, n):
     inline = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
     assert np.array_equal(_noise_kernel_spectrum(n, step, BAND)[1], kernel)
     assert np.array_equal(inline, threaded)
+
+
+def test_noise_drawn_from_many_threads_at_once_matches_one_at_a_time():
+    """Six callers share the one helper thread, with thread switches every
+    10 us: each still gets its own seed's noise."""
+    n, step, seeds = 20_001, 5e-14, range(6)
+    serial = [_band_limited_noise(np.random.default_rng(s), n, step, BAND, 1e-12) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            futures = [
+                pool.submit(_band_limited_noise, np.random.default_rng(s), n, step, BAND, 1e-12)
+                for s in seeds
+            ]
+            concurrent = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for one, many in zip(serial, concurrent):
+        assert np.array_equal(one, many)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
