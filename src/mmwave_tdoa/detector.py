@@ -95,7 +95,8 @@ class ToaEstimate:
 def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     """The CTMA integrator output: trailing-window energy on the trace grid,
     zero-extended before the record start, x(t_i) = integral of v^2 over
-    [t_i - t_win, t_i]."""
+    [t_i - t_win, t_i]. Raises ConfigurationError if the sum of v^2
+    overflows."""
     w = int(round(t_win / v.step))
     if w < 1:
         raise ConfigurationError("integration window shorter than one grid step")
@@ -105,6 +106,9 @@ def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     cum = np.zeros(n + w + 1)
     np.multiply(v.samples, v.samples, out=cum[w + 1 :])
     np.cumsum(cum, out=cum)
+    # The running sums never fall, so a finite last one bounds them all.
+    if not np.isfinite(cum[-1]):
+        raise ConfigurationError("the trace's energy overflows")
     energy = np.subtract(cum[w + 1 :], cum[1 : n + 1], out=cum[:n])
     energy *= v.step
     return SignalTrace._from_checked(v.start_time, v.step, energy)

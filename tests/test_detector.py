@@ -108,6 +108,12 @@ def test_windowed_energy_in_one_buffer_is_bit_identical(n, window):
     assert (energy.start_time, energy.step, len(energy)) == (0.3 * step, step, n)
 
 
+def test_windowed_energy_rejects_an_energy_that_overflows():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConfigurationError, match="energy overflows"):
+            _windowed_energy(SignalTrace(0.0, STEP, np.full(100, 1e200)), 10 * STEP)
+
+
 # ------------------------------------------------------------------- the lpf
 
 
