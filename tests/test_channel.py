@@ -758,5 +758,4 @@ def test_the_path_cache_keeps_heap_pages_for_every_per_trace_array(
     cache = PathCache(pulse, flat_table, window=t_ob)
     half = _fast_length(cache.n_out)
     assert kept == [2 * half]
-    assert 4 * (half // 2 + 1) <= 4 * 2 * half
     assert cache.n_out <= 2 * half and cache.length <= 2 * half
