@@ -350,8 +350,10 @@ def _transform_pair(transform, inputs, length: int, out: np.ndarray) -> None:
     releases the GIL, so the two run on two cores. The caller allocates
     `out`, so the helper's own heap holds only pocketfft's scratch."""
     pending = _helper().submit(transform, inputs[1], length, out=out[1])
-    transform(inputs[0], length, out=out[0])
-    pending.result()
+    try:
+        transform(inputs[0], length, out=out[0])
+    finally:
+        pending.result()
 
 
 @functools.lru_cache(maxsize=4)
@@ -527,8 +529,9 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     The pulse's own time origin is emitted at t = 0, so a waveform feature
     at pulse-frame time u is received at u + R/c0. The delay is applied as
     a spectral phase, which realizes fractional-step delays exactly in the
-    band-limited sense. The noise has variance `noise_power` (0 disables
-    it; see noise_variance for the channel's own). The path's clean
+    band-limited sense. The noise has variance `noise_power`, which must
+    be finite and non-negative (0 disables it; see noise_variance for the
+    channel's own). The path's clean
     piece (`PathCache.piece`) is added in place into the noise draw, or
     into zeros without noise, clipped to the window.
     Deterministic given the seed.

@@ -636,21 +636,29 @@ def _band_cases(n, step):
     and bands that the rule rejects: above the Nyquist frequency, between
     two bins."""
     freqs = np.fft.rfftfreq(n, step)
-    lo, hi = freqs[n // 40], freqs[n // 8]
+    lo, hi, next_up = freqs[n // 40], freqs[n // 8], freqs[n // 40 + 1]
+    just_above_lo = np.nextafter(lo, np.inf)
     return {
         "inside": (BAND, True),
         "on bins": ((lo, hi), True),
-        "an ulp inside": ((np.nextafter(lo, np.inf), np.nextafter(hi, 0.0)), True),
+        "an ulp inside": ((just_above_lo, np.nextafter(hi, 0.0)), True),
         "up to the last bin": ((lo, freqs[-1]), True),
         "above nyquist": ((100e9, 0.6 / step), False),
-        "between two bins": ((np.nextafter(lo, np.inf), np.nextafter(freqs[n // 40 + 1], 0.0)), False),
+        "between two bins": ((just_above_lo, np.nextafter(next_up, 0.0)), False),
     }
 
 
 @pytest.mark.parametrize("n", [20_000, 20_001, 200_000, 200_001])
 @pytest.mark.parametrize(
     "case",
-    ["inside", "on bins", "an ulp inside", "up to the last bin", "above nyquist", "between two bins"],
+    [
+        "inside",
+        "on bins",
+        "an ulp inside",
+        "up to the last bin",
+        "above nyquist",
+        "between two bins",
+    ],
 )
 def test_in_band_bins_match_the_rfftfreq_mask(n, case):
     step = 5e-14
