@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -255,39 +254,26 @@ def _fast_length(minimum: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=4)
 def _in_band_bins(n: int, step: float, band: tuple[float, float]) -> tuple[int, int]:
     """The first and last n-point rfft bins inside the band, ka and kb: the
-    bins k whose frequencies k * (1 / (n step)), the products that
-    `np.fft.rfftfreq` forms, lie in [f1, f2], found from the band's ends
-    without an array over the grid (kb < ka when no bin does). Raises
+    bins of `np.fft.rfftfreq(n, step)` in [f1, f2]. Raises
     ConfigurationError unless they keep the share 2 (f2 - f1) step of a
     white sequence's power that `_band_limited_noise` scales by, within
     1 %: a band above the grid's Nyquist frequency 1 / (2 step), or one
-    that holds few bins or none, keeps another share."""
-    spacing, top = 1.0 / (n * step), n // 2
-
-    def first_bin(f: float, past) -> int:
-        """The first k in 0..top + 1 with past(k * spacing, f), a test that
-        holds from some k on, as the products grow with k: searched from
-        the bin f / spacing rounded up."""
-        k = math.ceil(min(f / spacing, top + 1))
-        while k > 0 and past((k - 1) * spacing, f):
-            k -= 1
-        while k <= top and not past(k * spacing, f):
-            k += 1
-        return k
-
-    ka, kb = first_bin(band[0], operator.ge), first_bin(band[1], operator.gt) - 1
-    bins = max(kb - ka + 1, 0)
-    ratio = bins / (n * (band[1] - band[0]) * step)
+    that holds few bins or none, keeps another share. Memoized: `prepare`'s
+    check finds the bins that the first noisy trace's band-pass reuses."""
+    freqs = np.fft.rfftfreq(n, step)
+    inside = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    ratio = inside.size / (n * (band[1] - band[0]) * step)
     if not abs(ratio - 1.0) <= 0.01:
         raise ConfigurationError(
-            f"the band [{band[0]:.3e}, {band[1]:.3e}] Hz holds {bins} rfft bins of the "
+            f"the band [{band[0]:.3e}, {band[1]:.3e}] Hz holds {inside.size} rfft bins of the "
             f"{n}-point grid of step {step:.3e} s, {ratio:.4g} times the share "
             f"2 (f2 - f1) step of the noise power; it must lie below the grid's Nyquist "
             f"frequency {0.5 / step:.3e} Hz and span many {1.0 / (n * step):.3e} Hz bins"
         )
-    return ka, kb
+    return int(inside[0]), int(inside[-1])
 
 
 def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
@@ -379,9 +365,10 @@ def _noise_kernel_spectrum(
 def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
-    `PathCache`, for the largest arrays a trace allocates, the noise's two
-    rows of transforms at the half length `_fast_length(n_out)`: 2
-    `_fast_length(n_out)` points.
+    `PathCache`, with n = 2 `_fast_length(n_out)` for the largest arrays a
+    trace allocates, the noise's two rows of half-length transforms.
+    Noiseless traces rely on the kept block too: their received zeros and
+    detector arrays reuse its pages instead of faulting in fresh ones.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold

@@ -10,6 +10,7 @@ noise stream and results do not depend on evaluation order.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -621,20 +622,15 @@ def write_summary_json(summary: dict, path) -> None:
 
 
 def write_rows_csv(rows, path) -> None:
-    """Write an iterable of dict rows as CSV, the header from the first
-    row's keys: "" for None, repr for a float, str otherwise."""
+    """Write an iterable of dict rows as CSV with `csv.writer`, the header
+    from the first row's keys: "" for None, repr for a float, str otherwise,
+    and a cell holding a comma, quote or line break quoted."""
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         raise ConfigurationError("no rows to write")
-
-    def render(value) -> str:
-        if value is None:
-            return ""
-        return repr(value) if isinstance(value, float) else str(value)
-
     columns = list(first.keys())
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in itertools.chain((first,), rows):
-            handle.write(",".join([render(row[c]) for c in columns]) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in itertools.chain((first,), rows))

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -36,6 +37,7 @@ from mmwave_tdoa.channel import (
     _fast_length,
     _in_band_bins,
     _noise_kernel_spectrum,
+    _transform_pair,
     noise_background_psd,
     noise_self_psd,
 )
@@ -591,6 +593,47 @@ def test_noise_drawn_from_many_threads_at_once_matches_one_at_a_time():
         sys.setswitchinterval(interval)
     for one, many in zip(serial, concurrent):
         assert np.array_equal(one, many)
+
+
+def _pair_within(transform, out, timeout=30.0):
+    """`_transform_pair(transform, (0, 1), 1, out)` on a thread of its own,
+    its result or exception awaited for at most `timeout` seconds."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(_transform_pair, transform, (0, 1), 1, out).result(timeout=timeout)
+    finally:
+        pool.shutdown(wait=False)
+
+
+def test_an_error_in_the_helpers_transform_reaches_the_caller():
+    def transform(value, length, out):
+        if value == 1:
+            raise ValueError("the helper's transform failed")
+        out[:] = value
+
+    with pytest.raises(ValueError, match="the helper's transform failed"):
+        _pair_within(transform, np.zeros((2, 1)))
+
+
+def test_the_helpers_transform_finishes_before_the_callers_error_arrives():
+    """The caller's transform raises while the helper's is still running;
+    the exception reaches the caller only after the helper has written its
+    row, so no thread writes into `out` once the caller has it back."""
+    started = threading.Event()
+
+    def transform(value, length, out):
+        if value == 1:
+            started.set()
+            time.sleep(0.2)
+            out[:] = value
+        else:
+            assert started.wait(timeout=10), "the helper's transform never started"
+            raise ValueError("the caller's transform failed")
+
+    out = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="the caller's transform failed"):
+        _pair_within(transform, out)
+    assert out[1, 0] == 1.0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -22,6 +22,7 @@ from mmwave_tdoa.harness import (
     prepare,
     summarize,
     toa_sweep,
+    write_rows_csv,
 )
 from mmwave_tdoa.locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 
@@ -338,6 +339,23 @@ def test_dump_traces(tmp_path):
         assert values.tobytes() == trace.samples.tobytes()
 
 
+def test_write_rows_csv_writes_each_cell_as_csv_writer_does(tmp_path):
+    """None as an empty cell, a float (numpy's float64 too) as its shortest
+    round-trip repr, anything else as str, and a comma quoted."""
+    row = {
+        "none": None,
+        "sum": 0.1 + 0.2,
+        "count": 7,
+        "name": "ctma",
+        "note": "a,b",
+        "numpy": np.float64(0.3),
+    }
+    write_rows_csv([row], tmp_path / "row.csv")
+    assert (tmp_path / "row.csv").read_bytes() == (
+        b'none,sum,count,name,note,numpy\n,0.30000000000000004,7,ctma,"a,b",0.3\n'
+    )
+
+
 # -------------------------------------------------- run-invariant signal caches
 
 
@@ -429,6 +447,27 @@ def test_noise_band_pass_is_built_once_per_experiment():
     info = kernels.cache_info()
     assert info.misses == 1
     assert info.hits == 3 * cfg.n_positions * cfg.n_runs - 1
+
+
+def test_the_first_noisy_trace_reuses_the_band_bins_prepare_found(monkeypatch):
+    """`prepare`'s band check leaves the in-band bins memoized, so the first
+    noisy trace's band-pass build forms no rfft frequencies over the grid."""
+    cfg = ExperimentConfig(**TINY)
+    channel._in_band_bins.cache_clear()
+    prep = prepare(cfg)
+    channel._noise_kernel_spectrum.cache_clear()
+    lengths = []
+    rfftfreq = np.fft.rfftfreq
+
+    def spy(n, d=1.0, **kwargs):
+        lengths.append(n)
+        return rfftfreq(n, d, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftfreq", spy)
+    spec = ChannelSpec(distance=1.3, center_frequency=cfg.pulse_center_frequency, band=cfg.band)
+    harness.propagate(prep.paths, spec, seed=0, noise_power=1e-12)
+    assert channel._noise_kernel_spectrum.cache_info().misses == 1
+    assert prep.paths.n_out not in lengths
 
 
 @pytest.mark.skipif(
