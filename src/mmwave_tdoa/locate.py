@@ -8,6 +8,7 @@ and d their squared corrections. H is 2x2 here, so the least-squares form
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +64,11 @@ class ToaTriplet:
 
 
 def tdoa_ranges(t: ToaTriplet) -> tuple[float, float, float]:
-    """(R21, R31, R1): range differences to the reference and its absolute range."""
+    """(R21, R31, R1): range differences to the reference and its absolute
+    range, negative when the offset correction exceeds tau1 (see solve_position)."""
     r21 = (t.tau2 - t.tau1) * C0
     r31 = (t.tau3 - t.tau1) * C0
     r1 = (t.tau1 - t.common_offset_correction) * C0
-    if r1 < 0.0:
-        raise ConfigurationError("offset correction exceeds the reference TOA")
     return r21, r31, r1
 
 
@@ -77,11 +77,13 @@ def solve_position(
     ranges: tuple[float, float, float],
     r1_mode: str = "known-clock",
 ) -> tuple[float, float]:
-    """Position estimate from (R21, R31, R1).
+    """Position estimate from (R21, R31, R1): one solve of H [x; y] = R1 c + d.
 
     known-clock uses R1 as measured (transmitter and receivers share a
-    clock). quadratic discards R1, substitutes R1^2 = x^2 + y^2 and picks
-    the root that lands inside the receiver bounding box.
+    clock) and rejects a negative one. quadratic discards R1 and takes the
+    non-negative root of |R1 u + w| = R1, with u = H^-1 c and w = H^-1 d,
+    whose R1 u + w lies nearest the receiver box widened by 1e-9 m; a tie
+    goes to the smaller R1.
     """
     r21, r31, r1 = ranges
     h = layout.matrix()
@@ -91,19 +93,20 @@ def solve_position(
     d = 0.5 * np.array([b2 - r21 * r21, b3 - r31 * r31])
 
     try:
-        if r1_mode == "known-clock":
-            xy = np.linalg.solve(h, r1 * c + d)
-            return float(xy[0]), float(xy[1])
         if r1_mode == "quadratic":
-            u = np.linalg.solve(h, c)
-            w = np.linalg.solve(h, d)
-            return _pick_quadratic_root(layout, u, w)
+            uw = np.linalg.solve(h, np.column_stack((c, d)))
+            r1 = _pick_quadratic_root(layout, uw[:, 0], uw[:, 1])
+        elif r1_mode != "known-clock":
+            raise ConfigurationError(f"unknown r1 mode {r1_mode!r}")
+        elif r1 < 0.0:
+            raise ConfigurationError("offset correction exceeds the reference TOA")
+        xy = np.linalg.solve(h, r1 * c + d)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(f"geometry matrix is singular: {exc}") from exc
-    raise ConfigurationError(f"unknown r1 mode {r1_mode!r}")
+    return float(xy[0]), float(xy[1])
 
 
-def _pick_quadratic_root(layout, u, w):
+def _pick_quadratic_root(layout, u, w) -> float:
     # |r1 u + w|^2 = r1^2  ->  (|u|^2 - 1) r1^2 + 2 u.w r1 + |w|^2 = 0
     a = float(np.dot(u, u)) - 1.0
     b = 2.0 * float(np.dot(u, w))
@@ -120,15 +123,10 @@ def _pick_quadratic_root(layout, u, w):
     if not roots:
         raise ConfigurationError("no non-negative reference range satisfies the geometry")
 
-    coords = layout.positions()
-    area = (float(np.max(np.abs(coords[:, 0]))), float(np.max(np.abs(coords[:, 1]))))
-    candidates = [(r, r * u + w) for r in roots]
-    inside = [
-        (r, xy)
-        for r, xy in candidates
-        if -1e-9 <= xy[0] <= area[0] + 1e-9 and -1e-9 <= xy[1] <= area[1] + 1e-9
-    ]
-    pick = inside or candidates
-    # Prefer the root most consistent with its own implied range.
-    r, xy = min(pick, key=lambda rx: abs(np.hypot(*rx[1]) - rx[0]))
-    return float(xy[0]), float(xy[1])
+    high = (np.max(np.abs(layout.positions()), axis=0) + 1e-9).tolist()
+
+    def outside(r):  # distance of r u + w from the box widened by 1e-9 m, 0 inside
+        xy = (r * u + w).tolist()
+        return math.hypot(*(max(-1e-9 - v, 0.0, v - hi) for v, hi in zip(xy, high)))
+
+    return float(min(roots, key=lambda r: (outside(r), r)))

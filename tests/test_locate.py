@@ -64,8 +64,19 @@ def test_common_shift_leaves_differences_unchanged(shift):
 
 
 def test_excess_offset_correction_rejected():
+    ranges = tdoa_ranges(
+        ToaTriplet(tau1=1e-9, tau2=2e-9, tau3=3e-9, common_offset_correction=2e-9)
+    )
     with pytest.raises(ConfigurationError, match="correction"):
-        tdoa_ranges(ToaTriplet(tau1=1e-9, tau2=2e-9, tau3=3e-9, common_offset_correction=2e-9))
+        solve_position(LAYOUT, ranges, r1_mode="known-clock")
+
+
+def test_quadratic_mode_ignores_excess_offset_correction():
+    toas = exact_toas(0.8, 1.1)
+    excess = ToaTriplet(toas.tau1, toas.tau2, toas.tau3, common_offset_correction=2 * toas.tau1)
+    assert tdoa_ranges(excess)[2] < 0.0
+    x, y = solve_position(LAYOUT, tdoa_ranges(excess), r1_mode="quadratic")
+    assert np.hypot(x - 0.8, y - 1.1) < 1e-8
 
 
 def test_exact_input_round_trip():
@@ -91,6 +102,19 @@ def test_clock_offset_with_correction_is_transparent():
     plain = solve_position(LAYOUT, tdoa_ranges(exact_toas(1.2, 0.4)))
     offset = solve_position(LAYOUT, tdoa_ranges(exact_toas(1.2, 0.4, offset=5e-9)))
     assert plain == pytest.approx(offset, abs=1e-12)
+
+
+def test_known_clock_is_the_one_solve_on_any_layout():
+    layout = BsLayout.corner(3.0)
+    h = layout.matrix()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        r21, r31 = rng.uniform(-2.0, 2.0, size=2)
+        r1 = rng.uniform(0.0, 4.0)
+        c = np.array([-r21, -r31])
+        d = 0.5 * np.array([h[0] @ h[0] - r21 * r21, h[1] @ h[1] - r31 * r31])
+        xy = np.linalg.solve(h, r1 * c + d)
+        assert solve_position(layout, (r21, r31, r1)) == (xy[0], xy[1])
 
 
 def test_square_solve_equals_normal_equations():
@@ -139,9 +163,19 @@ def test_quadratic_mode_many_positions():
     rng = np.random.default_rng(5)
     for _ in range(25):
         x, y = rng.uniform(0.1, 1.9, size=2)
-        r21, r31, _ = tdoa_ranges(exact_toas(x, y))
+        r21, r31, r1 = tdoa_ranges(exact_toas(x, y))
         ex, ey = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic")
         assert np.hypot(ex - x, ey - y) < 1e-7
+        kx, ky = solve_position(LAYOUT, (r21, r31, r1), r1_mode="known-clock")
+        assert np.hypot(ex - kx, ey - ky) < 1e-9
+
+
+def test_quadratic_mode_picks_the_root_nearest_the_box():
+    # 21 um outside the box, so neither root lies within its 1e-9 m margin;
+    # the other root of this geometry lands near (-90, -65) m.
+    r21, r31, _ = tdoa_ranges(exact_toas(-21e-6, 0.411))
+    x, y = solve_position(LAYOUT, (r21, r31, 0.0), r1_mode="quadratic")
+    assert np.hypot(x + 21e-6, y - 0.411) < 1e-3
 
 
 def test_unknown_mode_rejected():
