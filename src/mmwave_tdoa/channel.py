@@ -312,15 +312,16 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return kernel
 
 
-_HELPER = None  # (pid, executor) of the process's one transform helper thread
+_HELPER = None  # (pid, executor) of the process's one noise helper thread
 _HELPER_LOCK = threading.Lock()
+_AHEAD = None  # (pid, seed, white, future) of the one white draw `_draw_ahead` started
 
 
 def _helper():
-    """The one-thread executor that `_transform_pair` runs its second
-    transform on. Started by the first caller in each process, so runs
-    without noise start no thread, and a forked child, which the thread is
-    not forked into, starts its own."""
+    """The one-thread executor that `_two_rows` and `_draw_ahead` run on.
+    Started by the first caller in each process, so runs without noise
+    start no thread, and a forked child, which the thread is not forked
+    into, starts its own."""
     global _HELPER
     with _HELPER_LOCK:
         if _HELPER is None or _HELPER[0] != os.getpid():
@@ -330,16 +331,38 @@ def _helper():
         return _HELPER[1]
 
 
-def _transform_pair(transform, inputs, length: int, out: np.ndarray) -> None:
-    """transform(inputs[i], length, out=out[i]) for i = 0, 1, the second on
-    `_helper`'s thread beside the first on this one: numpy's pocketfft
-    releases the GIL, so the two run on two cores. The caller allocates
-    `out`, so the helper's own heap holds only pocketfft's scratch."""
-    pending = _helper().submit(transform, inputs[1], length, out=out[1])
+def _two_rows(task) -> None:
+    """task(0) on this thread beside task(1) on `_helper`'s (pocketfft and
+    ufunc loops release the GIL), returning once both are done, even when
+    task(0) raises. The caller allocates every array the tasks write, so
+    the helper's own heap holds only pocketfft's scratch."""
+    pending = _helper().submit(task, 1)
     try:
-        transform(inputs[0], length, out=out[0])
+        task(0)
     finally:
         pending.result()
+
+
+def _draw_ahead(seed, n: int) -> None:
+    """Start seed's n-point unit normal draw on the helper thread, into a
+    buffer allocated here, for `_white` to hand to seed's own trace."""
+    global _AHEAD
+    white = np.empty(n)
+    done = _helper().submit(np.random.default_rng(seed).standard_normal, out=white)
+    _AHEAD = (os.getpid(), seed, white, done)
+
+
+def _white(seed, n: int) -> np.ndarray:
+    """The n-point unit normal draw of `default_rng(seed)`: the one
+    `_draw_ahead` made for this very seed object and n, else drawn here;
+    any other is waited for (unless a fork's parent made it) and dropped."""
+    global _AHEAD
+    with _HELPER_LOCK:
+        ahead, _AHEAD = _AHEAD, None
+    pid, ahead_seed, white, done = ahead or (None,) * 4
+    if pid == os.getpid() and done.exception() is None and ahead_seed is seed and white.size == n:
+        return white
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -356,7 +379,7 @@ def _noise_kernel_spectrum(
     length = _fast_length(n)
     kernel = _band_pass(n, step, band)
     spectra = np.empty((3, length // 2 + 1), dtype=np.complex128)
-    _transform_pair(np.fft.rfft, (kernel[0::2], kernel[1::2]), length, spectra)
+    _two_rows(lambda r: np.fft.rfft(kernel[r::2], length, out=spectra[r]))
     np.multiply(spectra[1], _delay_phase(length, step, step), out=spectra[2])
     spectra.flags.writeable = False
     return length, spectra
@@ -366,9 +389,9 @@ def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
     `PathCache`, with n = 2 `_fast_length(n_out)` for the largest arrays a
-    trace allocates, the noise's two rows of half-length transforms.
-    Noiseless traces rely on the kept block too: their received zeros and
-    detector arrays reuse its pages instead of faulting in fresh ones.
+    trace allocates, the noise's two-row spectra, live beside the draw made
+    ahead. Noiseless traces rely on the kept block too: their received
+    zeros and detector arrays reuse its pages instead of faulting in fresh ones.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold
@@ -381,10 +404,11 @@ def _keep_heap_pages(n: int) -> None:
     np.empty(4 * n)
 
 
-def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], power: float):
+def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], power: float,
+                        next_seed=None):
     """White Gaussian noise restricted to the band, with total power `power`.
 
-    The n-point white draw x goes through the n-point circular band-pass h
+    The white draw x = `_white(seed, n)` goes through the n-point circular band-pass h
     of `_noise_kernel_spectrum(n, step, band)` as a linear convolution y =
     h * x of 2n - 1 points, folded back onto n points: the same noise as
     zeroing the out-of-band bins of an n-point rfft, to rounding, without a
@@ -393,7 +417,9 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     time), each an irfft at the half length M: with E and O the rfft at M
     of x[0::2] and x[1::2], and He, Ho and Hd the kernel's even, odd and
     delayed odd rows, y[0::2] = irfft(He E + Hd O) and y[1::2] = irfft(Ho E
-    + He O). Each pair of transforms runs on two threads (`_transform_pair`).
+    + He O), row 0 on this thread and row 1 on the helper (`_two_rows`).
+    A `next_seed` then starts the next trace's draw on the helper
+    (`_draw_ahead`), beside this trace's fold and detection.
     """
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
     # of its power inside the band (within 1 %, by `_in_band_bins`); rescale
@@ -401,22 +427,27 @@ def _band_limited_noise(rng, n: int, step: float, band: tuple[float, float], pow
     scale = np.sqrt(power / (2.0 * (band[1] - band[0]) * step))
     if not np.isfinite(scale):
         raise ConfigurationError(f"noise power {power:.3e} W overflows the noise scale")
+    # Built before the draw, the memoized kernel sits below it on the heap (-1.5 MB peak RSS).
     length, (even, odd, delayed) = _noise_kernel_spectrum(n, step, band)
-    white = rng.standard_normal(n)
+    white = _white(seed, n)
     spectra = np.empty((2, length // 2 + 1), dtype=np.complex128)
-    _transform_pair(np.fft.rfft, (white[0::2], white[1::2]), length, spectra)
+    _two_rows(lambda r: np.fft.rfft(white[r::2], length, out=spectra[r]))
     del white
-    # In place, row 0 becomes He E + Hd O and row 1 Ho E + He O.
-    on_even, on_odd = spectra
-    odd_on_even = odd * on_even
-    on_even *= even
-    on_even += delayed * on_odd
-    on_odd *= even
-    on_odd += odd_on_even
-    del odd_on_even
-    halves = np.empty((2, length))
-    _transform_pair(np.fft.irfft, spectra, length, halves)
-    del spectra, on_even, on_odd
+    # Both cross terms (each reads the other row) come first; irfft r reuses cross[r]'s memory.
+    cross = np.empty_like(spectra)
+    halves = cross.view(np.float64)[:, :length]
+    _two_rows(lambda r: np.multiply((delayed, odd)[r], spectra[1 - r], out=cross[r]))
+
+    def row(r):
+        product = spectra[r]
+        product *= even
+        product += cross[r]
+        np.fft.irfft(product, length, out=halves[r])
+
+    _two_rows(row)
+    del spectra
+    if next_seed is not None:
+        _draw_ahead(next_seed, n)
     # y[k] = halves[k % 2][k // 2]; point k + n of y wraps onto k < n - 1.
     received = np.empty(n)
     for parity in (0, 1):
@@ -471,8 +502,8 @@ class PathCache:
     points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
     at the short transform length L = `_fast_length(pulse + 2 G)`, with G
     the `GUARD` in grid steps, and the experiment's one block of kept heap
-    pages (`_keep_heap_pages`), sized for the noise's transforms. It holds
-    no per-path state."""
+    pages (`_keep_heap_pages`), sized for the noise's transforms and the
+    white draw made ahead. It holds no per-path state."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
@@ -509,7 +540,9 @@ class PathCache:
         return i0, piece
 
 
-def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> SignalTrace:
+def propagate(
+    cache: PathCache, spec: ChannelSpec, seed, noise_power: float, next_seed=None
+) -> SignalTrace:
     """Received waveform on [0, cache.window]: the cache's pulse through the
     channel of `spec` and its absorption table, plus noise.
 
@@ -518,10 +551,10 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     a spectral phase, which realizes fractional-step delays exactly in the
     band-limited sense. The noise has variance `noise_power`, which must
     be finite and non-negative (0 disables it; see noise_variance for the
-    channel's own). The path's clean
-    piece (`PathCache.piece`) is added in place into the noise draw, or
-    into zeros without noise, clipped to the window.
-    Deterministic given the seed.
+    channel's own). The path's clean piece (`PathCache.piece`) is added in
+    place into the noise draw, or into zeros without noise, clipped to the
+    window. Deterministic given the seed; `next_seed`, the next noisy
+    trace's, starts its white draw on the noise's helper (`_draw_ahead`).
     """
     if not math.isfinite(noise_power):
         raise ConfigurationError(f"noise power must be finite, not {noise_power}")
@@ -530,8 +563,7 @@ def propagate(cache: PathCache, spec: ChannelSpec, seed, noise_power: float) -> 
     i0, piece = cache.piece(spec)
     step = cache.pulse.step
     if noise_power > 0.0:
-        rng = np.random.default_rng(seed)
-        received = _band_limited_noise(rng, cache.n_out, step, spec.band, noise_power)
+        received = _band_limited_noise(seed, cache.n_out, step, spec.band, noise_power, next_seed)
     else:
         received = np.zeros(cache.n_out)
     lo, hi = max(i0, 0), min(i0 + piece.size, cache.n_out)

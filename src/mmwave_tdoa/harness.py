@@ -404,8 +404,14 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
     and computes the path's short clean piece itself. `channel` keeps the
     rest of the shared set-up, the noise band-pass, itself. Each trace lives
     only inside its own `_trace_toas` call, so one received trace is in
-    memory at a time."""
+    memory at a time. Each trace's seed is made once and handed both to
+    its own `propagate` and, as `next_seed`, to the trace before it."""
     cfg, psd, table = prep.config, prep.psd, prep.paths.table
+    indices = itertools.product(range(len(positions)), range(cfg.n_runs), range(3))
+    # (this trace's seed, the next trace's or None), each seed made once
+    seeds = itertools.pairwise(
+        itertools.chain((_trace_seed(cfg.seed, *index) for index in indices), [None])
+    )
     for p_idx, (x, y) in enumerate(positions):
         chspecs = [
             ChannelSpec(
@@ -421,20 +427,21 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
         for r_idx in range(cfg.n_runs):
             dump = dump_dir if p_idx == 0 and r_idx == 0 else None
             yield p_idx, r_idx, [
-                _trace_toas(prep, chspecs[b], powers[b], (p_idx, r_idx, b), dump, timings)
+                _trace_toas(prep, chspecs[b], powers[b], next(seeds), b, dump, timings)
                 for b in range(3)
             ]
 
 
-def _trace_toas(prep, spec, noise_power, index, dump_dir, timings) -> list[float]:
-    """Propagate the received trace of one (position, run, receiver) index
-    with its own seed, write it under dump_dir if given, and return its TOA
+def _trace_toas(prep, spec, noise_power, seeds, receiver, dump_dir, timings) -> list[float]:
+    """Propagate one received trace with seeds, its own seed and the next
+    trace's (or None), write it under dump_dir if given, and return its TOA
     at every bank, each ranking its slots on one windowed energy, and then
     at every sampling rate, from one pass that filters only the LPF blocks
     some rate's largest sample can lie in."""
-    seed = _trace_seed(prep.config.seed, *index)
+    seed, next_seed = seeds
     trace = _timed(
-        timings, "propagate", propagate, prep.paths, spec, seed=seed, noise_power=noise_power
+        timings, "propagate", propagate, prep.paths, spec, seed=seed,
+        noise_power=noise_power, next_seed=next_seed,
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -442,7 +449,7 @@ def _trace_toas(prep, spec, noise_power, index, dump_dir, timings) -> list[float
             {"time_s": t, "value": v}
             for t, v in zip(trace.times().tolist(), trace.samples.tolist())
         )
-        write_rows_csv(rows, os.path.join(dump_dir, f"pos000_run000_bs{index[2] + 1}.csv"))
+        write_rows_csv(rows, os.path.join(dump_dir, f"pos000_run000_bs{receiver + 1}.csv"))
     toas = []
     if prep.banks:
         energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
@@ -464,7 +471,8 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     rate's position solves), each estimator family ("ctma", "sampling") to
     the time of the per-trace stage its points share (the windowed energy;
     the LPF with every rate's sampling), and "propagate" to the time of
-    every `propagate` call, noise included (see `stage_seconds`).
+    every `propagate` call, noise included but for the white draws made
+    ahead beside the trace before (see `stage_seconds`).
     """
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)

@@ -28,8 +28,10 @@ class BsLayout:
     def __post_init__(self):
         if self.bs1 != (0.0, 0.0):
             raise ConfigurationError("reference receiver must sit at the origin")
-        if abs(np.linalg.det(self.matrix())) < 1e-12:
-            raise ConfigurationError("receivers are collinear; geometry matrix is singular")
+        with np.errstate(invalid="ignore"):  # a NaN coordinate's NaN det fails the test too
+            det = np.linalg.det(self.matrix())
+        if not abs(det) >= 1e-12:
+            raise ConfigurationError("receivers are collinear or not finite; H is singular")
 
     @classmethod
     def corner(cls, size: float) -> "BsLayout":
@@ -92,17 +94,15 @@ def solve_position(
     c = np.array([-r21, -r31])
     d = 0.5 * np.array([b2 - r21 * r21, b3 - r31 * r31])
 
-    try:
-        if r1_mode == "quadratic":
-            uw = np.linalg.solve(h, np.column_stack((c, d)))
-            r1 = _pick_quadratic_root(layout, uw[:, 0], uw[:, 1])
-        elif r1_mode != "known-clock":
-            raise ConfigurationError(f"unknown r1 mode {r1_mode!r}")
-        elif r1 < 0.0:
-            raise ConfigurationError("offset correction exceeds the reference TOA")
-        xy = np.linalg.solve(h, r1 * c + d)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(f"geometry matrix is singular: {exc}") from exc
+    # `BsLayout` rejects a singular H, so neither solve raises LinAlgError.
+    if r1_mode == "quadratic":
+        uw = np.linalg.solve(h, np.column_stack((c, d)))
+        r1 = _pick_quadratic_root(layout, uw[:, 0], uw[:, 1])
+    elif r1_mode != "known-clock":
+        raise ConfigurationError(f"unknown r1 mode {r1_mode!r}")
+    elif r1 < 0.0:
+        raise ConfigurationError("offset correction exceeds the reference TOA")
+    xy = np.linalg.solve(h, r1 * c + d)
     return float(xy[0]), float(xy[1])
 
 

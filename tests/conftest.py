@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ from mmwave_tdoa import (
 from mmwave_tdoa.pulse import gaussian_derivative
 
 T_OB = 10e-9
+
+
+class Inline:
+    """A stand-in for the noise's helper executor: runs each submitted call
+    at once, on the calling thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        done = Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,13 @@ from mmwave_tdoa.channel import (
     _fast_length,
     _in_band_bins,
     _noise_kernel_spectrum,
-    _transform_pair,
+    _two_rows,
     noise_background_psd,
     noise_self_psd,
 )
 from mmwave_tdoa.harness import default_absorption_path
 
-from conftest import T_OB
+from conftest import T_OB, Inline
 
 BAND = (100e9, 300e9)
 
@@ -553,22 +553,13 @@ def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
     assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
 
 
-class _Inline:
-    """Runs each submitted call at once, on the calling thread."""
-
-    def submit(self, fn, *args, **kwargs):
-        done = Future()
-        done.set_result(fn(*args, **kwargs))
-        return done
-
-
 @pytest.mark.parametrize("n", [200_001, 16_874])
 def test_the_noise_is_bit_identical_with_the_helper_run_inline(monkeypatch, n):
     step = 5e-14
     _noise_kernel_spectrum.cache_clear()
     threaded = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
     kernel = _noise_kernel_spectrum(n, step, BAND)[1]
-    monkeypatch.setattr(channel, "_helper", _Inline)
+    monkeypatch.setattr(channel, "_helper", Inline)
     _noise_kernel_spectrum.cache_clear()
     inline = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
     assert np.array_equal(_noise_kernel_spectrum(n, step, BAND)[1], kernel)
@@ -595,54 +586,111 @@ def test_noise_drawn_from_many_threads_at_once_matches_one_at_a_time():
         assert np.array_equal(one, many)
 
 
-def _pair_within(transform, out, timeout=30.0):
-    """`_transform_pair(transform, (0, 1), 1, out)` on a thread of its own,
-    its result or exception awaited for at most `timeout` seconds."""
+def _pair_within(task, timeout=30.0):
+    """`_two_rows(task)` on a thread of its own, its result or exception
+    awaited for at most `timeout` seconds."""
     pool = ThreadPoolExecutor(1)
     try:
-        return pool.submit(_transform_pair, transform, (0, 1), 1, out).result(timeout=timeout)
+        return pool.submit(_two_rows, task).result(timeout=timeout)
     finally:
         pool.shutdown(wait=False)
 
 
 def test_an_error_in_the_helpers_transform_reaches_the_caller():
-    def transform(value, length, out):
-        if value == 1:
+    out = np.zeros(2)
+
+    def task(row):
+        if row == 1:
             raise ValueError("the helper's transform failed")
-        out[:] = value
+        out[row] = 1.0
 
     with pytest.raises(ValueError, match="the helper's transform failed"):
-        _pair_within(transform, np.zeros((2, 1)))
+        _pair_within(task)
+    assert out[0] == 1.0
 
 
 def test_the_helpers_transform_finishes_before_the_callers_error_arrives():
-    """The caller's transform raises while the helper's is still running;
-    the exception reaches the caller only after the helper has written its
+    """The caller's row raises while the helper's is still running; the
+    exception reaches the caller only after the helper has written its
     row, so no thread writes into `out` once the caller has it back."""
     started = threading.Event()
+    out = np.zeros(2)
 
-    def transform(value, length, out):
-        if value == 1:
+    def task(row):
+        if row == 1:
             started.set()
             time.sleep(0.2)
-            out[:] = value
+            out[row] = 1.0
         else:
             assert started.wait(timeout=10), "the helper's transform never started"
             raise ValueError("the caller's transform failed")
 
-    out = np.zeros((2, 1))
     with pytest.raises(ValueError, match="the caller's transform failed"):
-        _pair_within(transform, out)
-    assert out[1, 0] == 1.0
+        _pair_within(task)
+    assert out[1] == 1.0
+
+
+def _seeds(count):
+    return [np.random.SeedSequence([4, k]) for k in range(count)]
+
+
+@pytest.mark.parametrize("n", [200_001, 16_874])
+def test_noise_drawn_ahead_on_the_helper_matches_each_draw_made_inline(monkeypatch, n):
+    """Each call draws the next seed's white sequence ahead on the helper;
+    the noise is bit for bit that of each seed drawn on its own with the
+    helper run inline, and each call finds its draw waiting for it."""
+    step, seeds = 5e-14, _seeds(5)
+    ahead = []
+    drawn = []
+    for seed, next_seed in zip(seeds, seeds[1:] + [None]):
+        drawn.append(_band_limited_noise(seed, n, step, BAND, 1e-12, next_seed))
+        ahead.append(None if channel._AHEAD is None else channel._AHEAD[1])
+    assert ahead == seeds[1:] + [None]
+    monkeypatch.setattr(channel, "_helper", Inline)
+    for seed, noise in zip(seeds, drawn):
+        inline = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
+        assert np.array_equal(noise, inline)
+
+
+def test_a_draw_made_ahead_for_one_seed_is_never_returned_for_another():
+    """A draw pending for seed A (or for A at another length) is waited
+    for and dropped by a trace of seed B, which draws its own; A's own trace
+    then draws inline too, and every result is its seed's noise."""
+    n, step = 20_001, 5e-14
+    a, b, c = _seeds(3)
+    reference = {
+        key: _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
+        for key, seed in (("a", a), ("b", b), ("c", c))
+    }
+    _band_limited_noise(c, n, step, BAND, 1e-12, next_seed=a)
+    assert channel._AHEAD[1] is a
+    assert np.array_equal(_band_limited_noise(b, n, step, BAND, 1e-12), reference["b"])
+    assert channel._AHEAD is None
+    assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
+    # The same seed object, drawn ahead at another length.
+    _band_limited_noise(c, n + 1, step, BAND, 1e-12, next_seed=a)
+    assert channel._AHEAD[2].size == n + 1
+    assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
+    # A draw planted for a, filled with NaN, is not handed to c.
+    done = Inline().submit(lambda: None)
+    channel._AHEAD = (os.getpid(), a, np.full(n, np.nan), done)
+    assert np.array_equal(_band_limited_noise(c, n, step, BAND, 1e-12), reference["c"])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
     """The helper thread is not forked into the child; the child starts its
-    own on its first transform pair instead of waiting on the parent's."""
+    own on its first transform pair instead of waiting on the parent's. A
+    draw the parent started ahead for the child's seed is pending at the
+    fork; the child drops it unwaited and draws its own."""
     n, step = 20_001, 5e-14
     parent = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
-    assert channel._HELPER[0] == os.getpid()
+    seed = np.random.SeedSequence(9)
+    release = threading.Event()
+    # The helper is held busy, so the draw ahead for seed is still queued.
+    channel._helper().submit(release.wait, 30)
+    channel._draw_ahead(seed, n)
+    assert channel._HELPER[0] == os.getpid() and not channel._AHEAD[3].done()
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with threads may deadlock.
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -650,21 +698,25 @@ def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
     if pid == 0:
         code = 1
         try:
-            child = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
+            child = _band_limited_noise(seed, n, step, BAND, 1e-12)
             code = 0 if np.array_equal(child, parent) else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish its noise within 60 s")
-        time.sleep(0.01)
+    try:
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its noise within 60 s")
+            time.sleep(0.01)
+    finally:
+        release.set()
     assert os.waitstatus_to_exitcode(status) == 0
+    assert np.array_equal(_band_limited_noise(seed, n, step, BAND, 1e-12), parent)
 
 
 def _rfftfreq_mask(n, step, band):

@@ -26,6 +26,8 @@ from mmwave_tdoa.harness import (
 )
 from mmwave_tdoa.locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 
+from conftest import Inline
+
 
 def make_trial(pos, run, error, estimator="ctma", alpha=1000, f_s=None):
     return TrialResult(
@@ -371,8 +373,8 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     real = harness.propagate
     seen = []
 
-    def spy(cache, spec, seed, noise_power):
-        trace = real(cache, spec, seed, noise_power)
+    def spy(cache, spec, seed, noise_power, next_seed=None):
+        trace = real(cache, spec, seed, noise_power, next_seed)
         _, p_idx, r_idx, b = seed.entropy
         x, y = positions[p_idx]
         path = ChannelSpec(
@@ -411,9 +413,9 @@ def test_prepare_builds_the_one_path_cache_every_trace_uses(monkeypatch, entry):
         preps.append(real_prepare(cfg))
         return preps[-1]
 
-    def spy_propagate(cache, spec, seed, noise_power):
+    def spy_propagate(cache, spec, seed, noise_power, next_seed=None):
         assert cache is preps[-1].paths
-        trace = real_propagate(cache, spec, seed, noise_power)
+        trace = real_propagate(cache, spec, seed, noise_power, next_seed)
         traces.append(trace.samples.size)
         return trace
 
@@ -436,6 +438,87 @@ def test_a_noiseless_experiment_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     run_experiment(ExperimentConfig(**{**TINY, "noise": False}))
     assert channel._HELPER is None
+
+
+def test_each_trace_is_handed_the_next_traces_own_seed(monkeypatch):
+    """The loop makes each trace's seed once: the `next_seed` a noisy trace
+    propagates with is the very object the next trace propagates with, and
+    the last trace passes None."""
+    pairs = []
+    real = harness.propagate
+
+    def spy(*args, seed, next_seed, **kwargs):
+        pairs.append((seed, next_seed))
+        return real(*args, seed=seed, next_seed=next_seed, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", spy)
+    cfg = ExperimentConfig(**TINY)
+    run_experiment(cfg)
+    seeds = [seed for seed, _ in pairs]
+    assert [seed.entropy for seed in seeds] == [
+        [cfg.seed, p, r, b] for p in range(2) for r in range(2) for b in range(3)
+    ]
+    assert all(ahead is seed for (_, ahead), seed in zip(pairs, seeds[1:]))
+    assert pairs[-1][1] is None and channel._AHEAD is None
+
+
+def test_traces_drawn_ahead_match_traces_each_drawn_inline(monkeypatch):
+    """Every trace of a noisy experiment, with its white draw made ahead on
+    the helper thread, equals bit for bit the same trace drawn on its own
+    with the helper run inline; and the trials match."""
+    real = harness.propagate
+
+    def collect(traces, ahead):
+        def spy(*args, next_seed, **kwargs):
+            trace = real(*args, next_seed=next_seed if ahead else None, **kwargs)
+            traces.append(trace.samples)
+            return trace
+
+        return spy
+
+    cfg = ExperimentConfig(**TINY)
+    threaded, inline = [], []
+    monkeypatch.setattr(harness, "propagate", collect(threaded, ahead=True))
+    trials = run_experiment(cfg)[0]
+    monkeypatch.setattr(harness, "propagate", collect(inline, ahead=False))
+    monkeypatch.setattr(channel, "_helper", Inline)
+    assert run_experiment(cfg)[0] == trials
+    assert len(threaded) == len(inline) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, inline))
+
+
+def test_an_experiment_that_raises_mid_run_leaves_the_next_ones_outputs_alone(monkeypatch):
+    """The failed run leaves a draw pending for its next trace; the next
+    experiment in the process drops it, and its traces and outputs equal
+    those of the same experiment run before the failure."""
+    cfg = ExperimentConfig(**TINY)
+    real_propagate, real_sampling, calls = harness.propagate, harness.sampling_toas, []
+
+    def run():
+        traces = []
+
+        def spy(*args, **kwargs):
+            traces.append(real_propagate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(harness, "propagate", spy)
+        return run_experiment(cfg)[:2], [trace.samples for trace in traces]
+
+    def fail_fourth(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("stopped mid-run")
+        return real_sampling(*args, **kwargs)
+
+    expected, expected_traces = run()
+    monkeypatch.setattr(harness, "sampling_toas", fail_fourth)
+    with pytest.raises(RuntimeError, match="stopped mid-run"):
+        run_experiment(cfg)
+    assert channel._AHEAD[1].entropy == [cfg.seed, 0, 1, 1]
+    monkeypatch.setattr(harness, "sampling_toas", real_sampling)
+    outputs, traces = run()
+    assert outputs == expected and len(traces) == len(expected_traces) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(traces, expected_traces))
 
 
 def test_noise_band_pass_is_built_once_per_experiment():

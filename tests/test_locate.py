@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,13 @@ def test_layout_validation():
         BsLayout(bs1=(1.0, 0.0), bs2=(0.0, 2.0), bs3=(2.0, 0.0))
     with pytest.raises(ConfigurationError, match="collinear"):
         BsLayout(bs1=(0.0, 0.0), bs2=(1.0, 1.0), bs3=(2.0, 2.0))
+
+
+@pytest.mark.parametrize("bs3", [(math.nan, 0.0), (2.0, math.nan)])
+def test_layout_with_a_nan_coordinate_is_rejected(bs3):
+    """A NaN coordinate makes det H NaN, which no magnitude test passes."""
+    with pytest.raises(ConfigurationError, match="not finite"):
+        BsLayout(bs1=(0.0, 0.0), bs2=(0.0, 2.0), bs3=bs3)
 
 
 def test_triplet_validation():
