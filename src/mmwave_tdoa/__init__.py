@@ -16,7 +16,7 @@ from .detector import (
     lpf_approximation,
     sampling_toas,
 )
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError
 from .harness import (
     ExperimentConfig,
     TrialResult,
@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "PulseSpec",
     "SignalTrace",
-    "SimulationError",
     "ToaEstimate",
     "ToaTriplet",
     "TrialResult",

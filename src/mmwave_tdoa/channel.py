@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError
 from .trace import SignalTrace, power_spectrum
 
 C0 = 299_792_458.0  # vacuum speed of light, m/s
@@ -556,10 +556,8 @@ def propagate(
     window. Deterministic given the seed; `next_seed`, the next noisy
     trace's, starts its white draw on the noise's helper (`_draw_ahead`).
     """
-    if not math.isfinite(noise_power):
-        raise ConfigurationError(f"noise power must be finite, not {noise_power}")
-    if noise_power < 0.0:
-        raise SimulationError("noise power must be non-negative")
+    if not (math.isfinite(noise_power) and noise_power >= 0.0):
+        raise ConfigurationError(f"noise power must be finite and non-negative, not {noise_power}")
     i0, piece = cache.piece(spec)
     step = cache.pulse.step
     if noise_power > 0.0:

@@ -11,7 +11,8 @@ Subcommands:
   validate-config  check a config and report derived quantities
 
 Exit codes: 0 success, 2 configuration error (a write under --out or
---dump-traces that fails included), 3 runtime/numeric error.
+--dump-traces that fails included). Any other exception is a bug and
+escapes with its traceback.
 """
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError
 from .harness import (
     ESTIMATORS,
     ExperimentConfig,
@@ -139,9 +138,6 @@ def main(argv=None) -> int:
         reason = exc.strerror or exc
         print(f"configuration error: {flag}: cannot write {written}: {reason}", file=sys.stderr)
         return 2
-    except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return 3
 
 
 def _format_row(row: dict) -> str:

@@ -1,13 +1,9 @@
 """Error types shared across the simulator.
 
-The CLI maps ConfigurationError to exit code 2 and SimulationError to
-exit code 3; everything else is a bug.
+The CLI maps ConfigurationError to exit code 2 and returns 0 on success;
+everything else is a bug.
 """
 
 
 class ConfigurationError(ValueError):
     """Invalid configuration, geometry, or input data (caught before trials run)."""
-
-
-class SimulationError(RuntimeError):
-    """Numeric or runtime failure while a simulation is executing."""

@@ -362,7 +362,7 @@ def test_propagation_deterministic_given_seed(pulse2, flat_table):
     assert not np.array_equal(a.samples, c.samples)
 
 
-@pytest.mark.parametrize("power", [math.inf, math.nan])
+@pytest.mark.parametrize("power", [math.inf, math.nan, -1e-16])
 def test_propagation_rejects_a_non_finite_noise_power_before_any_transform(
     pulse2, flat_table, monkeypatch, power
 ):
@@ -373,7 +373,7 @@ def test_propagation_rejects_a_non_finite_noise_power_before_any_transform(
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, no_transform)
-    with pytest.raises(ConfigurationError, match="noise power must be finite"):
+    with pytest.raises(ConfigurationError, match="noise power must be finite and non-negative"):
         propagate(cache, spec_at(1.0), seed=0, noise_power=power)
 
 

@@ -6,12 +6,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwave_tdoa import C0, PulseSpec, generate_pulse, harness
 from mmwave_tdoa.cli import main
-from mmwave_tdoa.errors import SimulationError
 from mmwave_tdoa.harness import ExperimentConfig, TrialResult
 
 TINY_CFG = {
@@ -131,6 +130,14 @@ UNREADABLE_INPUTS = {
         b"frequency_hz,k_per_m\n5e10,0.01\n5e11," + b"1" * 200_000 + b"\n",
     ),
     "empty-absorption-path": ({"absorption_path": ""}, None),
+    "config-not-json": (b'{"n_runs": 1,}', None),
+    "config-a-json-array": (b"[1, 2]", None),
+    "table-empty": ({}, b""),
+    "table-species-on-different-grids": (
+        {"species_fractions": {"H2O": 0.5, "O2": 0.5}},
+        b"frequency_hz,species,k_per_m\n5e10,H2O,0.01\n5e11,H2O,0.01\n"
+        b"5e10,O2,0.01\n4e11,O2,0.01\n5e11,O2,0.01\n",
+    ),
 }
 
 
@@ -149,7 +156,10 @@ def test_an_unreadable_input_exits_2_naming_its_file_or_field(tmp_path, capsys, 
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
-    assert (str(cfg_file) if case.startswith("config") else "error: absorption_path: ") in err
+    if case == "config-a-json-array":  # the rule is named, not the file
+        assert "a config must be a JSON object" in err
+    else:
+        assert (str(cfg_file) if case.startswith("config") else "error: absorption_path: ") in err
 
 
 def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
@@ -401,16 +411,6 @@ def test_a_sampling_toa_too_early_to_localize_names_sampling_rates(
     assert "Traceback" not in err
 
 
-def test_runtime_failure_maps_to_exit_3(cfg_path, tmp_path, monkeypatch, capsys):
-    def boom(cfg, dump_dir=None):
-        raise SimulationError("numeric blow-up")
-
-    monkeypatch.setattr("mmwave_tdoa.cli.run_experiment", boom)
-    code = main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 3
-    assert "simulation error" in capsys.readouterr().err
-
-
 def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkeypatch):
     """The hooks the benchmark tracer relies on: one `harness.propagate` call
     per (position, run, receiver) in loop order, each with the seed
@@ -505,6 +505,15 @@ DESK_CFG = {
         ({"layout_size": -2}, "layout_size"),
         ({"band": [1e9, 3e11]}, "band"),  # beyond the absorption table
         ({"pulse_order": 10**400}, "pulse_order"),  # no float holds it
+        ({"noise": 1}, "noise"),
+        ({"absorption_path": 5}, "absorption_path"),
+        ({"species_fractions": [1]}, "species_fractions"),
+        ({"mq_pairs": [[2, 3, 4]]}, "mq_pairs"),
+        ({"band": [3e11, 1e11]}, "band"),
+        ({"sampling_rates": [-1.0]}, "sampling_rates"),
+        ({"estimator": "nope"}, "estimator"),
+        ({"estimator": "ctma", "mq_pairs": []}, "estimator"),
+        ({"layout_size": 10**400}, "layout_size"),  # no float holds it
     ],
 )
 def test_a_bad_pulse_or_bank_field_exits_2_naming_it(
@@ -647,16 +656,42 @@ assert set(TYPED_VALUES) == set(ExperimentConfig.__dataclass_fields__)
 TYPED_CONFIGS = st.fixed_dictionaries({}, optional=TYPED_VALUES)
 
 
-@given(data=CONFIGS | TYPED_CONFIGS)
-@example(data={"guard_radius": GUARD_FLOOR})
-@example(data={"guard_radius": 0.0, "toa_position": [0.002, 0.002]})
-@example(data={"pulse_order": 14})
-@example(data={"pulse_order": 64})
-@example(data={"pulse_power": 1e-320})
-@example(data={"pulse_power": 1e300})
-@settings(max_examples=60, deadline=None)
-def test_validate_config_never_raises(data):
+# validate-config reads any JSON value of each field; a run reads
+# well-typed fields at one position and one run, and about 30 % of its
+# draws run to the end.
+RUN_CONFIGS = TYPED_CONFIGS.map(lambda data: {**data, "n_positions": 1, "n_runs": 1})
+NEVER_RAISE_CONFIGS = {
+    "validate-config": CONFIGS | TYPED_CONFIGS,
+    "simulate-tdoa": RUN_CONFIGS,
+    "simulate-toa": RUN_CONFIGS,
+}
+
+
+def _exit_code(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(data))
-        assert main(["validate-config", "--config", str(path)]) in (0, 2)
+        return main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"guard_radius": GUARD_FLOOR},
+        {"guard_radius": 0.0, "toa_position": [0.002, 0.002]},
+        {"pulse_order": 14},
+        {"pulse_order": 64},
+        {"pulse_power": 1e-320},
+        {"pulse_power": 1e300},
+    ],
+)
+def test_validate_config_never_raises_at_an_edge(data):
+    assert _exit_code("validate-config", data) in (0, 2)
+
+
+@pytest.mark.parametrize("command", list(NEVER_RAISE_CONFIGS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_config_never_raises(command, data):
+    """No exception escapes `main`: every config runs (0) or is refused (2)."""
+    assert _exit_code(command, data.draw(NEVER_RAISE_CONFIGS[command], label="config")) in (0, 2)
