@@ -312,23 +312,34 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return kernel
 
 
-_HELPER = None  # (pid, executor) of the process's one noise helper thread
+_HELPER = None  # the executor of the process's one noise helper thread
 _HELPER_LOCK = threading.Lock()
-_AHEAD = None  # (pid, seed, white, future) of the one white draw `_draw_ahead` started
+_AHEAD = None  # (seed, white, future) of the one white draw `_draw_ahead` started
+
+
+def _forget_helper() -> None:
+    """In a forked child, which holds none of the parent's threads: no
+    helper, no draw made ahead, and a fresh lock, since fork copies the
+    parent's in whatever state a parent thread held it."""
+    global _HELPER, _HELPER_LOCK, _AHEAD
+    _HELPER, _HELPER_LOCK, _AHEAD = None, threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _helper():
     """The one-thread executor that `_two_rows` and `_draw_ahead` run on.
     Started by the first caller in each process, so runs without noise
-    start no thread, and a forked child, which the thread is not forked
-    into, starts its own."""
+    start no thread, and a forked child starts its own."""
     global _HELPER
     with _HELPER_LOCK:
-        if _HELPER is None or _HELPER[0] != os.getpid():
+        if _HELPER is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="noise-fft"))
-        return _HELPER[1]
+            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="noise-fft")
+        return _HELPER
 
 
 def _two_rows(task) -> None:
@@ -349,18 +360,18 @@ def _draw_ahead(seed, n: int) -> None:
     global _AHEAD
     white = np.empty(n)
     done = _helper().submit(np.random.default_rng(seed).standard_normal, out=white)
-    _AHEAD = (os.getpid(), seed, white, done)
+    _AHEAD = (seed, white, done)
 
 
 def _white(seed, n: int) -> np.ndarray:
     """The n-point unit normal draw of `default_rng(seed)`: the one
     `_draw_ahead` made for this very seed object and n, else drawn here;
-    any other is waited for (unless a fork's parent made it) and dropped."""
+    any other is waited for and dropped."""
     global _AHEAD
     with _HELPER_LOCK:
         ahead, _AHEAD = _AHEAD, None
-    pid, ahead_seed, white, done = ahead or (None,) * 4
-    if pid == os.getpid() and done.exception() is None and ahead_seed is seed and white.size == n:
+    ahead_seed, white, done = ahead or (None,) * 3
+    if done is not None and done.exception() is None and ahead_seed is seed and white.size == n:
         return white
     return np.random.default_rng(seed).standard_normal(n)
 

@@ -17,14 +17,12 @@ escapes with its traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
 
 from .errors import ConfigurationError
 from .harness import (
-    ESTIMATORS,
     ExperimentConfig,
     prepare,
     run_experiment,
@@ -36,15 +34,8 @@ from .harness import (
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--seed", type=int, help="override the root seed")
+    parser.add_argument("--config", type=Path, required=True, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument(
-        "--estimator",
-        choices=ESTIMATORS,
-        help="which estimator family to run",
-    )
-    parser.add_argument("--no-noise", action="store_true", help="disable channel noise")
     parser.add_argument(
         "--dump-traces",
         action="store_true",
@@ -68,22 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.estimator is not None:
-        overrides["estimator"] = args.estimator
-    if args.no_noise:
-        overrides["noise"] = False
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = ExperimentConfig.from_file(args.config)
         if args.command == "validate-config":
             prep = prepare(cfg)
             print("config OK")

@@ -187,9 +187,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        def unique_keys(pairs):
+            data = {}
+            for key, value in pairs:
+                if key in data:
+                    raise ConfigurationError(f"config {path} names {key!r} twice")
+                data[key] = value
+            return data
+
         try:
             with open(path, encoding="utf-8-sig") as handle:
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=unique_keys)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         except UnicodeDecodeError as exc:

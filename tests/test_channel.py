@@ -644,7 +644,7 @@ def test_noise_drawn_ahead_on_the_helper_matches_each_draw_made_inline(monkeypat
     drawn = []
     for seed, next_seed in zip(seeds, seeds[1:] + [None]):
         drawn.append(_band_limited_noise(seed, n, step, BAND, 1e-12, next_seed))
-        ahead.append(None if channel._AHEAD is None else channel._AHEAD[1])
+        ahead.append(None if channel._AHEAD is None else channel._AHEAD[0])
     assert ahead == seeds[1:] + [None]
     monkeypatch.setattr(channel, "_helper", Inline)
     for seed, noise in zip(seeds, drawn):
@@ -663,34 +663,38 @@ def test_a_draw_made_ahead_for_one_seed_is_never_returned_for_another():
         for key, seed in (("a", a), ("b", b), ("c", c))
     }
     _band_limited_noise(c, n, step, BAND, 1e-12, next_seed=a)
-    assert channel._AHEAD[1] is a
+    assert channel._AHEAD[0] is a
     assert np.array_equal(_band_limited_noise(b, n, step, BAND, 1e-12), reference["b"])
     assert channel._AHEAD is None
     assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
     # The same seed object, drawn ahead at another length.
     _band_limited_noise(c, n + 1, step, BAND, 1e-12, next_seed=a)
-    assert channel._AHEAD[2].size == n + 1
+    assert channel._AHEAD[1].size == n + 1
     assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
     # A draw planted for a, filled with NaN, is not handed to c.
     done = Inline().submit(lambda: None)
-    channel._AHEAD = (os.getpid(), a, np.full(n, np.nan), done)
+    channel._AHEAD = (a, np.full(n, np.nan), done)
     assert np.array_equal(_band_limited_noise(c, n, step, BAND, 1e-12), reference["c"])
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
-    """The helper thread is not forked into the child; the child starts its
-    own on its first transform pair instead of waiting on the parent's. A
-    draw the parent started ahead for the child's seed is pending at the
-    fork; the child drops it unwaited and draws its own."""
-    n, step = 20_001, 5e-14
-    parent = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
-    seed = np.random.SeedSequence(9)
-    release = threading.Event()
-    # The helper is held busy, so the draw ahead for seed is still queued.
-    channel._helper().submit(release.wait, 30)
-    channel._draw_ahead(seed, n)
-    assert channel._HELPER[0] == os.getpid() and not channel._AHEAD[3].done()
+def _exit_code_within(pid: int, seconds: float) -> int:
+    """The exit code of the forked child pid, which is killed, failing the
+    test, if it has not finished within seconds."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child did not finish its noise within {seconds:.0f} s")
+        time.sleep(0.01)
+
+
+def _fork_noise_child(seed, n, step, expected) -> int:
+    """Fork a child that draws seed's noise and exits 0 if it equals
+    expected (3 if not); return its pid in the parent."""
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with threads may deadlock.
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -699,24 +703,58 @@ def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
         code = 1
         try:
             child = _band_limited_noise(seed, n, step, BAND, 1e-12)
-            code = 0 if np.array_equal(child, parent) else 3
+            code = 0 if np.array_equal(child, expected) else 3
         finally:
             os._exit(code)
-    deadline = time.monotonic() + 60.0
+    return pid
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
+    """The helper thread is not forked into the child; the child starts its
+    own on its first transform pair instead of waiting on the parent's. A
+    draw the parent started ahead for the child's seed is pending at the
+    fork; the child forgets it and draws its own."""
+    n, step = 20_001, 5e-14
+    parent = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
+    seed = np.random.SeedSequence(9)
+    release = threading.Event()
+    # The helper is held busy, so the draw ahead for seed is still queued.
+    channel._helper().submit(release.wait, 30)
+    channel._draw_ahead(seed, n)
+    assert channel._HELPER is not None and not channel._AHEAD[2].done()
+    pid = _fork_noise_child(seed, n, step, parent)
     try:
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its noise within 60 s")
-            time.sleep(0.01)
+        assert _exit_code_within(pid, 60.0) == 0
     finally:
         release.set()
-    assert os.waitstatus_to_exitcode(status) == 0
     assert np.array_equal(_band_limited_noise(seed, n, step, BAND, 1e-12), parent)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_while_a_thread_holds_the_helper_lock_draws_its_noise():
+    """fork copies the helper's lock held, as a parent thread held it, and
+    no thread of the child would ever release it; the child gets a fresh
+    lock and draws a full trace's noise."""
+    n, step = 200_001, 5e-14
+    expected = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with channel._HELPER_LOCK:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10), "the holding thread never took the lock"
+        pid = _fork_noise_child(np.random.default_rng(9), n, step, expected)
+        code = _exit_code_within(pid, 30.0)
+    finally:
+        release.set()
+        holder.join()
+    assert code == 0
 
 
 def _rfftfreq_mask(n, step, band):

@@ -29,6 +29,52 @@ def cfg_path(tmp_path):
     return path
 
 
+def _with_fields(path: Path, **fields) -> Path:
+    """A copy of the config file at path, beside it, with fields set."""
+    copy = path.with_name(f"with_{path.name}")
+    copy.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-tdoa", "--out", "x"],
+        ["validate-config"],
+        ["sweep", "--config", "configs/desk_sweep.json", "--seed", "3"],
+        ["simulate-tdoa", "--config", "configs/desk_sweep.json", "--estimator", "ctma"],
+        ["simulate-toa", "--config", "configs/desk_sweep.json", "--no-noise"],
+    ],
+)
+def test_a_run_without_a_config_or_with_a_field_flag_is_a_usage_error(capsys, argv):
+    """The config file is a run's one input: every command needs one, and
+    no flag sets a config field."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mmwave-tdoa ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1, "n_runs": 1, "seed": 2}', "seed"),
+        ('{"n_runs": 1, "species_fractions": {"H2O": 0.5, "O2": 0.2, "H2O": 0.1}}', "H2O"),
+    ],
+    ids=["top-level", "species_fractions"],
+)
+@pytest.mark.parametrize("command", ["validate-config", "simulate-tdoa"])
+def test_a_config_naming_a_key_twice_exits_2_naming_it(tmp_path, capsys, command, text, key):
+    """JSON would keep the last value; a config that names a key twice is
+    refused instead, in any object. Written as text, since json.dumps
+    cannot repeat a key."""
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: config {path} names {key!r} twice\n"
+
+
 def test_validate_config_ok(cfg_path, capsys):
     assert main(["validate-config", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
@@ -76,8 +122,8 @@ def test_simulate_toa_without_bank_fails_before_propagating(
 
     monkeypatch.setattr("mmwave_tdoa.harness.propagate", no_propagation)
     out = tmp_path / "toa"
-    argv = ["simulate-toa", "--config", str(cfg_path), "--out", str(out), "--estimator", "sampling"]
-    assert main(argv) == 2
+    path = _with_fields(cfg_path, estimator="sampling")
+    assert main(["simulate-toa", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "estimator" in err and "mq_pairs" in err
 
@@ -205,27 +251,16 @@ def test_sweep_matches_simulate_tdoa_bytes(cfg_path, tmp_path):
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
 
-def test_estimator_and_seed_overrides(cfg_path, tmp_path):
-    out = tmp_path / "run"
-    code = main(
-        [
-            "simulate-tdoa",
-            "--config",
-            str(cfg_path),
-            "--out",
-            str(out),
-            "--estimator",
-            "ctma",
-            "--seed",
-            "99",
-            "--no-noise",
-        ]
-    )
-    assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["seed"] == 99
-    assert summary["config"]["noise"] is False
-    assert [r["estimator"] for r in summary["results"]] == ["ctma"]
+def test_the_summary_config_echo_reruns_to_the_same_bytes(cfg_path, tmp_path):
+    """summary.json echoes the whole config: written back out as a config
+    file, it gives the same trials.csv and summary.json, byte for byte."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(first)]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(json.loads((first / "summary.json").read_text())["config"]))
+    assert main(["simulate-tdoa", "--config", str(echo), "--out", str(second)]) == 0
+    for name in ("trials.csv", "summary.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_sweep_writes_table(cfg_path, tmp_path):
@@ -310,10 +345,11 @@ def test_a_band_without_pulse_power_names_band_without_a_warning(
 
 
 def test_a_band_without_pulse_power_runs_without_noise(narrow_band_cfg, tmp_path):
-    argv = ["simulate-tdoa", "--config", str(narrow_band_cfg), "--out", str(tmp_path / "out")]
+    path = _with_fields(narrow_band_cfg, noise=False)
+    argv = ["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "--no-noise"]) == 0
+        assert main(argv) == 0
 
 
 # Receiver bands whose rfft bins on the trace grid do not keep the share
@@ -353,8 +389,8 @@ def test_a_band_the_trace_grid_cannot_carry_names_band(
 
 
 def test_a_band_the_trace_grid_cannot_carry_runs_without_noise(off_grid_band_cfg, tmp_path):
-    argv = ["simulate-tdoa", "--config", str(off_grid_band_cfg), "--out", str(tmp_path / "out")]
-    assert main([*argv, "--no-noise"]) == 0
+    path = _with_fields(off_grid_band_cfg, noise=False)
+    assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate-tdoa", "simulate-toa"])
@@ -404,8 +440,8 @@ def test_a_sampling_toa_too_early_to_localize_names_sampling_rates(
     monkeypatch.setattr(
         "mmwave_tdoa.harness.sampling_toas", lambda trace, t_p, rates: [0.0] * len(rates)
     )
-    argv = ["simulate-tdoa", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    assert main([*argv, "--estimator", "sampling"]) == 2
+    path = _with_fields(cfg_path, estimator="sampling")
+    assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error: sampling_rates (6e+11 Hz), position 0, run 0: " in err
     assert "Traceback" not in err

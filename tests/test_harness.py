@@ -528,7 +528,7 @@ def test_an_experiment_that_raises_mid_run_leaves_the_next_ones_outputs_alone(mo
     monkeypatch.setattr(harness, "sampling_toas", fail_fourth)
     with pytest.raises(RuntimeError, match="stopped mid-run"):
         run_experiment(cfg)
-    assert channel._AHEAD[1].entropy == [cfg.seed, 0, 1, 1]
+    assert channel._AHEAD[0].entropy == [cfg.seed, 0, 1, 1]
     monkeypatch.setattr(harness, "sampling_toas", real_sampling)
     outputs, traces = run()
     assert outputs == expected and len(traces) == len(expected_traces) == 12
