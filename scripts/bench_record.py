@@ -23,7 +23,13 @@ checkout of the parent commit (made with `git archive` or `git clone`); a
   `wall_s` around one in-process `cli.main` call of the workload's
   command, the median of three fresh processes. The two rusage times are
   CPU seconds of all the process's threads, so beside `wall_s` they tell
-  a gain from a second core apart from a gain from less work.
+  a gain from a second core apart from a gain from less work. Beside
+  them, from `RUSAGE_CHILDREN`, go the CPU seconds of the trial-run
+  shards the call forked and reaped (`children_ru_utime`,
+  `children_ru_stime`), with the largest peak RSS of one of them
+  (`children_maxrss_mb`) and the process's own (`maxrss_mb`). The
+  benchmark's `peak_rss_mb` reads only the process's own `ru_maxrss`
+  (`bench/child.py`), so a shard's memory shows only here.
   The fault count cannot resolve differences below about 12 pages: an
   inert edit (a longer docstring, an unused function) moves it that much,
   since code objects' sizes shift where `cli.main`'s objects land in the
@@ -63,13 +69,19 @@ with tempfile.TemporaryDirectory() as work:
     with open(path, "w") as handle:
         json.dump(config, handle)
     argv = [command, "--config", path, "--out", os.path.join(work, "out")]
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     after, wall = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter() - start
+    shards = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(json.dumps({"exit_code": code, "ru_minflt": after.ru_minflt - before.ru_minflt,
                   "ru_stime": after.ru_stime - before.ru_stime,
-                  "ru_utime": after.ru_utime - before.ru_utime, "wall_s": wall}))
+                  "ru_utime": after.ru_utime - before.ru_utime, "wall_s": wall,
+                  "maxrss_mb": after.ru_maxrss / 1024,
+                  "children_ru_stime": shards.ru_stime - children.ru_stime,
+                  "children_ru_utime": shards.ru_utime - children.ru_utime,
+                  "children_maxrss_mb": shards.ru_maxrss / 1024}))
 """
 
 
@@ -99,7 +111,10 @@ def rusage_per_call(checkout: str, workload, seed: int) -> dict:
         calls.append(json.loads(done.stdout.splitlines()[-1]))
     return {
         key: statistics.median(call[key] for call in calls)
-        for key in ("ru_minflt", "ru_stime", "ru_utime", "wall_s")
+        for key in (
+            "ru_minflt", "ru_stime", "ru_utime", "wall_s", "maxrss_mb",
+            "children_ru_stime", "children_ru_utime", "children_maxrss_mb",
+        )
     } | {"calls": calls}
 
 

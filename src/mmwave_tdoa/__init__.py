@@ -12,6 +12,7 @@ from .channel import (
 from .detector import (
     DetectorBankConfig,
     ToaEstimate,
+    energy_peak,
     iterative_toa,
     lpf_approximation,
     sampling_toas,
@@ -53,6 +54,7 @@ __all__ = [
     "TrialResult",
     "aede",
     "effective_duration",
+    "energy_peak",
     "generate_pulse",
     "half_power_band",
     "ingest_absorption",

@@ -15,8 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,70 +310,6 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return kernel
 
 
-_HELPER = None  # the executor of the process's one noise helper thread
-_HELPER_LOCK = threading.Lock()
-_AHEAD = None  # (seed, white, future) of the one white draw `_draw_ahead` started
-
-
-def _forget_helper() -> None:
-    """In a forked child, which holds none of the parent's threads: no
-    helper, no draw made ahead, and a fresh lock, since fork copies the
-    parent's in whatever state a parent thread held it."""
-    global _HELPER, _HELPER_LOCK, _AHEAD
-    _HELPER, _HELPER_LOCK, _AHEAD = None, threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _helper():
-    """The one-thread executor that `_two_rows` and `_draw_ahead` run on.
-    Started by the first caller in each process, so runs without noise
-    start no thread, and a forked child starts its own."""
-    global _HELPER
-    with _HELPER_LOCK:
-        if _HELPER is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="noise-fft")
-        return _HELPER
-
-
-def _two_rows(task) -> None:
-    """task(0) on this thread beside task(1) on `_helper`'s (pocketfft and
-    ufunc loops release the GIL), returning once both are done, even when
-    task(0) raises. The caller allocates every array the tasks write, so
-    the helper's own heap holds only pocketfft's scratch."""
-    pending = _helper().submit(task, 1)
-    try:
-        task(0)
-    finally:
-        pending.result()
-
-
-def _draw_ahead(seed, n: int) -> None:
-    """Start seed's n-point unit normal draw on the helper thread, into a
-    buffer allocated here, for `_white` to hand to seed's own trace."""
-    global _AHEAD
-    white = np.empty(n)
-    done = _helper().submit(np.random.default_rng(seed).standard_normal, out=white)
-    _AHEAD = (seed, white, done)
-
-
-def _white(seed, n: int) -> np.ndarray:
-    """The n-point unit normal draw of `default_rng(seed)`: the one
-    `_draw_ahead` made for this very seed object and n, else drawn here;
-    any other is waited for and dropped."""
-    global _AHEAD
-    with _HELPER_LOCK:
-        ahead, _AHEAD = _AHEAD, None
-    ahead_seed, white, done = ahead or (None,) * 3
-    if done is not None and done.exception() is None and ahead_seed is seed and white.size == n:
-        return white
-    return np.random.default_rng(seed).standard_normal(n)
-
-
 @functools.lru_cache(maxsize=4)
 def _noise_kernel_spectrum(
     n: int, step: float, band: tuple[float, float]
@@ -390,7 +324,8 @@ def _noise_kernel_spectrum(
     length = _fast_length(n)
     kernel = _band_pass(n, step, band)
     spectra = np.empty((3, length // 2 + 1), dtype=np.complex128)
-    _two_rows(lambda r: np.fft.rfft(kernel[r::2], length, out=spectra[r]))
+    for r in (0, 1):
+        np.fft.rfft(kernel[r::2], length, out=spectra[r])
     np.multiply(spectra[1], _delay_phase(length, step, step), out=spectra[2])
     spectra.flags.writeable = False
     return length, spectra
@@ -400,8 +335,7 @@ def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
     `PathCache`, with n = 2 `_fast_length(n_out)` for the largest arrays a
-    trace allocates, the noise's two-row spectra, live beside the draw made
-    ahead. Noiseless traces rely on the kept block too: their received
+    trace allocates, the noise's two-row spectra. Noiseless traces rely on the kept block too: their received
     zeros and detector arrays reuse its pages instead of faulting in fresh ones.
 
     glibc's malloc serves each block above its mmap threshold with freshly
@@ -415,22 +349,20 @@ def _keep_heap_pages(n: int) -> None:
     np.empty(4 * n)
 
 
-def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], power: float,
-                        next_seed=None):
+def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], power: float):
     """White Gaussian noise restricted to the band, with total power `power`.
 
-    The white draw x = `_white(seed, n)` goes through the n-point circular band-pass h
-    of `_noise_kernel_spectrum(n, step, band)` as a linear convolution y =
-    h * x of 2n - 1 points, folded back onto n points: the same noise as
+    The white draw x, n unit normals of `default_rng(seed)`, goes through
+    the n-point circular band-pass h of `_noise_kernel_spectrum(n, step,
+    band)` as a linear convolution y = h * x of 2n - 1 points, folded back
+    onto n points: the same noise as
     zeroing the out-of-band bins of an n-point rfft, to rounding, without a
     transform at the length n (a slow one when n has large prime factors).
     y is found as its even and odd points (Cooley and Tukey's decimation in
     time), each an irfft at the half length M: with E and O the rfft at M
     of x[0::2] and x[1::2], and He, Ho and Hd the kernel's even, odd and
     delayed odd rows, y[0::2] = irfft(He E + Hd O) and y[1::2] = irfft(Ho E
-    + He O), row 0 on this thread and row 1 on the helper (`_two_rows`).
-    A `next_seed` then starts the next trace's draw on the helper
-    (`_draw_ahead`), beside this trace's fold and detection.
+    + He O).
     """
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
     # of its power inside the band (within 1 %, by `_in_band_bins`); rescale
@@ -440,25 +372,22 @@ def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], po
         raise ConfigurationError(f"noise power {power:.3e} W overflows the noise scale")
     # Built before the draw, the memoized kernel sits below it on the heap (-1.5 MB peak RSS).
     length, (even, odd, delayed) = _noise_kernel_spectrum(n, step, band)
-    white = _white(seed, n)
+    white = np.random.default_rng(seed).standard_normal(n)
     spectra = np.empty((2, length // 2 + 1), dtype=np.complex128)
-    _two_rows(lambda r: np.fft.rfft(white[r::2], length, out=spectra[r]))
+    for r in (0, 1):
+        np.fft.rfft(white[r::2], length, out=spectra[r])
     del white
     # Both cross terms (each reads the other row) come first; irfft r reuses cross[r]'s memory.
     cross = np.empty_like(spectra)
     halves = cross.view(np.float64)[:, :length]
-    _two_rows(lambda r: np.multiply((delayed, odd)[r], spectra[1 - r], out=cross[r]))
-
-    def row(r):
+    for r in (0, 1):
+        np.multiply((delayed, odd)[r], spectra[1 - r], out=cross[r])
+    for r in (0, 1):
         product = spectra[r]
         product *= even
         product += cross[r]
         np.fft.irfft(product, length, out=halves[r])
-
-    _two_rows(row)
     del spectra
-    if next_seed is not None:
-        _draw_ahead(next_seed, n)
     # y[k] = halves[k % 2][k // 2]; point k + n of y wraps onto k < n - 1.
     received = np.empty(n)
     for parity in (0, 1):
@@ -513,8 +442,9 @@ class PathCache:
     points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
     at the short transform length L = `_fast_length(pulse + 2 G)`, with G
     the `GUARD` in grid steps, and the experiment's one block of kept heap
-    pages (`_keep_heap_pages`), sized for the noise's transforms and the
-    white draw made ahead. It holds no per-path state."""
+    pages (`_keep_heap_pages`), sized for the noise's transforms. It holds
+    no per-path state: a caller that propagates one path many times builds
+    its `piece` once."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
@@ -552,7 +482,7 @@ class PathCache:
 
 
 def propagate(
-    cache: PathCache, spec: ChannelSpec, seed, noise_power: float, next_seed=None
+    cache: PathCache, spec: ChannelSpec, seed, noise_power: float, piece=None
 ) -> SignalTrace:
     """Received waveform on [0, cache.window]: the cache's pulse through the
     channel of `spec` and its absorption table, plus noise.
@@ -562,17 +492,17 @@ def propagate(
     a spectral phase, which realizes fractional-step delays exactly in the
     band-limited sense. The noise has variance `noise_power`, which must
     be finite and non-negative (0 disables it; see noise_variance for the
-    channel's own). The path's clean piece (`PathCache.piece`) is added in
-    place into the noise draw, or into zeros without noise, clipped to the
-    window. Deterministic given the seed; `next_seed`, the next noisy
-    trace's, starts its white draw on the noise's helper (`_draw_ahead`).
+    channel's own). The path's clean piece, `cache.piece(spec)` unless the
+    caller passes the one it built, is added in place into the noise draw,
+    or into zeros without noise, clipped to the window. Deterministic given
+    the seed.
     """
     if not (math.isfinite(noise_power) and noise_power >= 0.0):
         raise ConfigurationError(f"noise power must be finite and non-negative, not {noise_power}")
-    i0, piece = cache.piece(spec)
+    i0, piece = cache.piece(spec) if piece is None else piece
     step = cache.pulse.step
     if noise_power > 0.0:
-        received = _band_limited_noise(seed, cache.n_out, step, spec.band, noise_power, next_seed)
+        received = _band_limited_noise(seed, cache.n_out, step, spec.band, noise_power)
     else:
         received = np.zeros(cache.n_out)
     lo, hi = max(i0, 0), min(i0 + piece.size, cache.n_out)

@@ -15,7 +15,8 @@ with t* the dense-grid argmax and delta the final resolution. The largest
 held maximum of a pass is the maximum over the union of its slots, and the
 earliest slot holding it (a tie goes to the earlier slot) is the slot of
 that union's first maximum, the first maximum over [0, t_ob) in every pass,
-so the bank takes one argmax and each pass finds the slot that holds it.
+so every bank walks its passes from one peak, `energy_peak`, found once per
+trace and only in the blocks that can hold it.
 
 The sampling baseline needs only the time of the largest sample of the
 low-pass output, and its kernel is non-negative, so `sampling_toas` filters
@@ -92,14 +93,19 @@ class ToaEstimate:
     tau: float
 
 
+def _window_points(v: SignalTrace, t_win: float) -> int:
+    w = int(round(t_win / v.step))
+    if w < 1:
+        raise ConfigurationError("integration window shorter than one grid step")
+    return w
+
+
 def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     """The CTMA integrator output: trailing-window energy on the trace grid,
     zero-extended before the record start, x(t_i) = integral of v^2 over
     [t_i - t_win, t_i]. Raises ConfigurationError if the sum of v^2
     overflows."""
-    w = int(round(t_win / v.step))
-    if w < 1:
-        raise ConfigurationError("integration window shorter than one grid step")
+    w = _window_points(v, t_win)
     # One buffer: w + 1 zeros, then v^2, summed in place; the difference of
     # its running sums w apart lands on its first n points.
     n = v.samples.size
@@ -112,6 +118,70 @@ def _windowed_energy(v: SignalTrace, t_win: float) -> SignalTrace:
     energy = np.subtract(cum[w + 1 :], cum[1 : n + 1], out=cum[:n])
     energy *= v.step
     return SignalTrace._from_checked(v.start_time, v.step, energy)
+
+
+PEAK_BLOCK = 4096  # grid points per block of `energy_peak`'s search
+
+
+def energy_peak(v: SignalTrace, t_win: float, t_ob: float) -> int:
+    """Grid index of the first maximum of the CTMA integrator output
+    `_windowed_energy(v, t_win)` over the grid points in [0, t_ob), found
+    without building that output.
+
+    The points split into blocks of B = max(`PEAK_BLOCK`, w) points, w the
+    window in grid steps. The output at a point is step times the sum of
+    v^2 over it and the w - 1 points before, so a block's output is at most
+    its bound, step times the sum of v^2 over the block and the w - 1
+    points before it. The highest-bound block's maximum is found first.
+    Then every block whose bound reaches that maximum, less 1e-9 of the top
+    bound (a margin far above the rounding of the sums), is computed in one
+    pass; every block left out holds only smaller values. Each block's
+    output comes from its own running sum of v^2, so its values do not
+    depend on which blocks are computed, and equal `_windowed_energy`'s to
+    rounding. A tie goes to the earliest index, as `np.argmax` does. Raises
+    ConfigurationError if the sum of v^2 overflows."""
+    w = _window_points(v, t_win)
+    x, step = v.samples, v.step
+    i0, i1 = v.index_range(0.0, t_ob)
+    if i1 <= i0:
+        raise ConfigurationError("the trace holds no grid point in [0, t_ob)")
+    size = max(PEAK_BLOCK, w)
+    rows, tail = divmod(i1 - i0, size)
+    full = x[i0 : i0 + rows * size].reshape(rows, size)
+    # Block b's own points, and the w - 1 points before it: block b - 1's
+    # last ones, or those before i0 for block 0.
+    own = np.einsum("ij,ij->i", full, full)
+    ends = full[:, size - w + 1 :]
+    before = np.einsum("ij,ij->i", ends, ends)
+    if tail:
+        rest = x[i1 - tail : i1]
+        own = np.append(own, rest @ rest)
+    first = x[max(i0 - w + 1, 0) : i0]
+    bounds = (own + np.concatenate(([first @ first], before))[: own.size]) * step
+    if not np.isfinite(bounds.max()):
+        raise ConfigurationError("the trace's energy overflows")
+
+    def energies(blocks: np.ndarray) -> np.ndarray:
+        """The output at the points of each block, a row per block, from
+        the running sum of v^2 over its points and the w before; -inf at
+        or past i1."""
+        squares = np.zeros((blocks.size, size + w))
+        for row, b in enumerate(blocks.tolist()):
+            a = i0 + b * size - w  # the input point of column 0
+            lo, hi = max(a, 0), min(a + size + w, x.size)
+            squares[row, lo - a : hi - a] = x[lo:hi]
+        np.square(squares, out=squares)
+        np.cumsum(squares, axis=1, out=squares)
+        out = squares[:, w:] - squares[:, :size]
+        out *= step
+        out[blocks == rows, tail:] = -np.inf  # the short last block
+        return out
+
+    top = int(np.argmax(bounds))
+    peak = energies(np.array([top])).max()
+    blocks = np.flatnonzero(bounds >= peak - 1e-9 * bounds[top])
+    k = int(np.argmax(energies(blocks)))  # rows in time order: the earliest first maximum
+    return i0 + int(blocks[k // size]) * size + k % size
 
 
 @functools.lru_cache(maxsize=4)
@@ -194,25 +264,26 @@ def lpf_approximation(v: SignalTrace, t_p: float) -> SignalTrace:
     return SignalTrace(start_time=v.start_time, step=v.step, samples=lpf.samples)
 
 
-def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
-    """Run the Q+1-pass delay-bank refinement over [0, t_ob] on the CTMA
-    integrator output `energy`, i.e. `_windowed_energy(v, cfg.t_p)` of the
-    received trace v.
+def iterative_toa(v: SignalTrace, peak: int, cfg: DetectorBankConfig) -> ToaEstimate:
+    """Run the Q+1-pass delay-bank refinement over [0, t_ob] on the
+    received trace v, whose CTMA integrator output has its first maximum
+    over [0, t_ob) at v's grid index `peak`, `energy_peak(v, t_p, t_ob)`.
 
     Branch m of a pass owns the slot starting (M - m) slot-widths into the
     current interval (branch indexing runs backwards in time), and the
     branch with the largest held maximum wins; ties go to the larger m,
     i.e. the earlier slot. The slots tile the grid, so that branch owns the
-    first maximum of `energy` over [0, t_ob), found once; each pass walks
-    to its first slot that ends after it. The single received trace is
-    re-presented to every pass, delay lines being modeled as ideal.
+    peak; each pass walks to its first slot that ends after it. The single
+    received trace is re-presented to every pass, delay lines being
+    modeled as ideal.
     """
-    require_resolvable(cfg, energy.step)
-    if energy.start_time > 0.0 or energy.end_time < cfg.t_ob - 0.5 * energy.step:
+    require_resolvable(cfg, v.step)
+    if v.start_time > 0.0 or v.end_time < cfg.t_ob - 0.5 * v.step:
         raise ConfigurationError("trace must cover the observation window [0, t_ob]")
+    i0, i1 = v.index_range(0.0, cfg.t_ob)
+    if not i0 <= peak < i1:
+        raise ConfigurationError(f"peak index {peak} lies outside [0, t_ob)'s points [{i0}, {i1})")
 
-    i0, i1 = energy.index_range(0.0, cfg.t_ob)
-    peak = i0 + int(np.argmax(energy.samples[i0:i1]))
     m_count = cfg.branches
     selected: list[int] = []
     taus: list[float] = []
@@ -220,7 +291,7 @@ def iterative_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     for q in range(1, cfg.stages + 2):
         width = cfg.t_ob / m_count**q
         best_j = 0  # slot ends grow to the trace size, above the peak
-        while energy.index_range(slot_start, slot_start + (best_j + 1) * width)[1] <= peak:
+        while v.index_range(slot_start, slot_start + (best_j + 1) * width)[1] <= peak:
             best_j += 1
         selected.append(m_count - best_j)  # earlier slot = larger branch index
         slot_start += best_j * width

@@ -17,7 +17,13 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
+import sys
+import threading
 import time
+import traceback
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -38,6 +44,7 @@ from .channel import (
 from .detector import (
     DetectorBankConfig,
     _windowed_energy,
+    energy_peak,
     iterative_toa,
     lpf_approximation,
     require_resolvable,
@@ -242,10 +249,11 @@ class PreparedExperiment:
     - config: the experiment; every stage reads it.
     - t_p: the pulse's effective duration, the span of `_trace_toas`'s
       energy window and LPF, and the shift of "start-corrected" TOAs.
-    - psd: the transmit PSD, None without noise; `_run_toas` reads it.
+    - psd: the transmit PSD, None without noise; `_trial_toas` reads it.
     - paths: the one `PathCache`, with the pulse and absorption table;
-      `propagate` reads it, and `_run_toas` its table for the noise power.
-    - layout: the receivers; `_run_toas` and `toa_sweep` take each path
+      `_trial_toas` builds each path's clean piece on it and reads its
+      table for the noise power, and `propagate` reads it.
+    - layout: the receivers; `_trial_toas` and `toa_sweep` take each path
       length from it, and `_localize` solves on it.
     - banks, sampling_rates: the sweep points `_trace_toas` estimates at.
     - ctma_offset, lpf_offset: each estimator's peak delay on the clean
@@ -403,24 +411,41 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
     return np.random.SeedSequence([root, position, run, receiver])
 
 
-def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
-    """Yield (position index, run index, toas) for every run at each of
-    positions, where toas[b] lists receiver b's TOA for every bank and
+def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
+    """(position index, run index, toas) for every run at each of positions,
+    in that order, where toas[b] lists receiver b's TOA for every bank and
     then every sampling rate (see `_trace_toas`).
 
-    Every trace shares `prep.paths`; each `propagate` call checks its path
-    and computes the path's short clean piece itself. `channel` keeps the
-    rest of the shared set-up, the noise band-pass, itself. Each trace lives
-    only inside its own `_trace_toas` call, so one received trace is in
-    memory at a time. Each trace's seed is made once and handed both to
-    its own `propagate` and, as `next_seed`, to the trace before it."""
-    cfg, psd, table = prep.config, prep.psd, prep.paths.table
-    indices = itertools.product(range(len(positions)), range(cfg.n_runs), range(3))
-    # (this trace's seed, the next trace's or None), each seed made once
-    seeds = itertools.pairwise(
-        itertools.chain((_trace_seed(cfg.seed, *index) for index in indices), [None])
-    )
-    for p_idx, (x, y) in enumerate(positions):
+    The (position, run) trial-runs split into contiguous shards, one per
+    usable core (`_shard_count`), run at once by `_in_shards`; each adds
+    its stage times into timings. The first shard runs in this process, so
+    the traces of position 0, run 0 are dumped from here."""
+    cells = list(itertools.product(range(len(positions)), range(prep.config.n_runs)))
+    count = _shard_count(len(cells))
+    edges = [len(cells) * k // count for k in range(count + 1)]
+
+    def shard(k):
+        own = defaultdict(float)
+        toas = list(_trial_toas(prep, positions, cells[edges[k] : edges[k + 1]], own, dump_dir))
+        return toas, dict(own)
+
+    toas = []
+    for shard_toas, shard_timings in _in_shards(shard, count):
+        toas += shard_toas
+        for key, seconds in shard_timings.items():
+            timings[key] += seconds
+    return [(p_idx, r_idx, run) for (p_idx, r_idx), run in zip(cells, toas)]
+
+
+def _trial_toas(prep: PreparedExperiment, positions, cells, timings, dump_dir):
+    """Yield the toas of each (position index, run index) of cells in turn.
+
+    Each position's three paths are set up once for its runs: the channel,
+    the noise power and the clean piece (`PathCache.piece`), timed as
+    "propagate". Each trace lives only inside its own `_trace_toas` call,
+    so one received trace is in memory at a time."""
+    cfg, psd, paths = prep.config, prep.psd, prep.paths
+    for p_idx, runs in itertools.groupby(cells, key=lambda cell: cell[0]):
         chspecs = [
             ChannelSpec(
                 distance=float(d),
@@ -428,28 +453,117 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir):
                 band=cfg.band,
                 temperature=cfg.temperature,
             )
-            for d in _distances(prep.layout, x, y)
+            for d in _distances(prep.layout, *positions[p_idx])
         ]
-        powers = [0.0 if psd is None else noise_variance(s, table, psd) for s in chspecs]
-
-        for r_idx in range(cfg.n_runs):
+        powers = [0.0 if psd is None else noise_variance(s, paths.table, psd) for s in chspecs]
+        pieces = [_timed(timings, "propagate", paths.piece, s) for s in chspecs]
+        for _, r_idx in runs:
             dump = dump_dir if p_idx == 0 and r_idx == 0 else None
-            yield p_idx, r_idx, [
-                _trace_toas(prep, chspecs[b], powers[b], next(seeds), b, dump, timings)
+            yield [
+                _trace_toas(
+                    prep, chspecs[b], pieces[b], powers[b],
+                    _trace_seed(cfg.seed, p_idx, r_idx, b), b, dump, timings,
+                )
                 for b in range(3)
             ]
 
 
-def _trace_toas(prep, spec, noise_power, seeds, receiver, dump_dir, timings) -> list[float]:
-    """Propagate one received trace with seeds, its own seed and the next
-    trace's (or None), write it under dump_dir if given, and return its TOA
-    at every bank, each ranking its slots on one windowed energy, and then
-    at every sampling rate, from one pass that filters only the LPF blocks
-    some rate's largest sample can lie in."""
-    seed, next_seed = seeds
+def _shard_count(trial_runs: int) -> int:
+    """One shard per usable core, at most one per trial-run. A single shard
+    off Linux, and while another thread is running: a forked child holds
+    only the thread that forked it, so what another thread was doing, or a
+    lock it held, would never finish in the child."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(_usable_cores(), trial_runs)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; the tests set the shard count here."""
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shards(work, count: int) -> list:
+    """[work(0), ..., work(count - 1)]: work(0) in this process and each
+    other in a child forked for it (`_serve_shard`), all at once.
+
+    A child's ConfigurationError is raised here, the first in shard order,
+    which is the one a single shard would have met first; any other failure
+    of a child raises RuntimeError with its traceback. Every child is
+    reaped before this returns or raises, and killed first if this process
+    is unwinding from an error."""
+    if count == 1:
+        return [work(0)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for k in range(1, count):
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of any thread it counts, a BLAS pool's
+                # included; no other Python thread runs here (`_shard_count`).
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _serve_shard(work, k, read, write)
+            os.close(write)
+            children.append((pid, read))
+        return [work(0)] + [_receive_shard(read, k) for k, (_, read) in enumerate(children, 1)]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
+def _serve_shard(work, shard: int, read: int, write: int) -> None:
+    """In a forked child: pickle ("result", work(shard)), or ("error", the
+    ConfigurationError it raised), or ("crash", any other failure's
+    traceback), to the pipe `write`, and leave by `os._exit`, which runs
+    none of the parent's exit handlers and flushes none of its buffers."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            message = ("result", work(shard))
+        except ConfigurationError as exc:
+            message = ("error", exc)
+        except Exception:
+            message = ("crash", traceback.format_exc())
+        with open(write, "wb") as pipe:
+            pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive_shard(read: int, shard: int):
+    """The result that shard's child pickled to the pipe `read`."""
+    with open(read, "rb", closefd=False) as pipe:
+        try:
+            kind, value = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            kind, value = "crash", "it ended before sending its result"
+    if kind == "error":
+        raise value
+    if kind == "crash":
+        raise RuntimeError(f"trial-run shard {shard} failed: {value}")
+    return value
+
+
+def _trace_toas(prep, spec, piece, noise_power, seed, receiver, dump_dir, timings) -> list[float]:
+    """Propagate one received trace of the path spec, whose clean piece is
+    given, with its seed, write it under dump_dir if given, and return its
+    TOA at every bank, each walking its slots from the one windowed-energy
+    peak, and then at every sampling rate, from one pass that filters only
+    the LPF blocks some rate's largest sample can lie in."""
     trace = _timed(
         timings, "propagate", propagate, prep.paths, spec, seed=seed,
-        noise_power=noise_power, next_seed=next_seed,
+        noise_power=noise_power, piece=piece,
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -460,12 +574,11 @@ def _trace_toas(prep, spec, noise_power, seeds, receiver, dump_dir, timings) -> 
         write_rows_csv(rows, os.path.join(dump_dir, f"pos000_run000_bs{receiver + 1}.csv"))
     toas = []
     if prep.banks:
-        energy = _timed(timings, "ctma", _windowed_energy, trace, prep.t_p)
+        peak = _timed(timings, "ctma", energy_peak, trace, prep.t_p, prep.config.t_ob)
         toas = [
-            _timed(timings, ("ctma", bank.alpha, None), iterative_toa, energy, bank).tau
+            _timed(timings, ("ctma", bank.alpha, None), iterative_toa, trace, peak, bank).tau
             for bank in prep.banks
         ]
-        del energy  # freed before the LPF allocates
     if prep.sampling_rates:
         toas += _timed(timings, "sampling", sampling_toas, trace, prep.t_p, prep.sampling_rates)
     return toas
@@ -477,10 +590,10 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     timings maps each sweep point's (estimator, alpha, f_s) key to the wall
     time spent on it alone (a bank's refinement and its position solves; a
     rate's position solves), each estimator family ("ctma", "sampling") to
-    the time of the per-trace stage its points share (the windowed energy;
-    the LPF with every rate's sampling), and "propagate" to the time of
-    every `propagate` call, noise included but for the white draws made
-    ahead beside the trace before (see `stage_seconds`).
+    the time of the per-trace stage its points share (the windowed-energy
+    peak; the LPF with every rate's sampling), and "propagate" to the time
+    of every path's clean piece and every `propagate` call, noise included
+    (see `stage_seconds`). Each time sums over the shards that ran at once.
     """
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)

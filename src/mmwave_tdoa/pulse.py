@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .errors import ConfigurationError
 from .trace import SignalTrace, power_spectrum
@@ -72,9 +71,19 @@ def gaussian_derivative(t: np.ndarray, p: int, sigma: float) -> np.ndarray:
     scales the shape to its power anyway, and the factor (about 1e148 at
     order 13 and 200 GHz) would overflow the unit pulse's energy."""
     x = t / (sigma * math.sqrt(2.0))
-    coeffs = np.zeros(p + 1)
-    coeffs[p] = 1.0
-    return (-1.0) ** p * hermval(x, coeffs) * np.exp(-x * x)
+    return (-1.0) ** p * _hermite(x, p) * np.exp(-x * x)
+
+
+def _hermite(x: np.ndarray, p: int) -> np.ndarray:
+    """The physicists' Hermite polynomial H_p(x) by Clenshaw's recurrence,
+    step for step as numpy's `hermval` sums the series whose one
+    coefficient is c_p = 1, so the values are the same bits (without
+    importing `numpy.polynomial`, a few ms of every process's start)."""
+    x2 = x * 2
+    c0, c1 = (1.0, 0.0) if p == 0 else (0.0, 1.0)
+    for nd in range(p, 1, -1):
+        c0, c1 = 0.0 - c1 * (2 * (nd - 1)), c0 + c1 * x2
+    return c0 + c1 * x2
 
 
 def generate_pulse(spec: PulseSpec, step: float = DEFAULT_STEP) -> SignalTrace:

@@ -1,5 +1,3 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
@@ -9,20 +7,19 @@ from mmwave_tdoa import (
     SignalTrace,
     effective_duration,
     generate_pulse,
+    harness,
 )
 from mmwave_tdoa.pulse import gaussian_derivative
 
 T_OB = 10e-9
 
 
-class Inline:
-    """A stand-in for the noise's helper executor: runs each submitted call
-    at once, on the calling thread."""
-
-    def submit(self, fn, *args, **kwargs):
-        done = Future()
-        done.set_result(fn(*args, **kwargs))
-        return done
+@pytest.fixture
+def one_shard(monkeypatch):
+    """Run every trial-run in the test's own process, for a test that
+    counts per-trace calls through monkeypatches: a forked shard's calls
+    would not reach it."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
 
 
 @pytest.fixture(scope="session")

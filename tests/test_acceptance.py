@@ -15,6 +15,7 @@ from mmwave_tdoa import (
     SignalTrace,
     ToaTriplet,
     effective_duration,
+    energy_peak,
     generate_pulse,
     half_power_band,
     iterative_toa,
@@ -26,7 +27,6 @@ from mmwave_tdoa import (
     transmit_psd,
 )
 from mmwave_tdoa.channel import PathCache, noise_background_psd, noise_self_psd
-from mmwave_tdoa.detector import _windowed_energy
 from mmwave_tdoa.cli import main
 
 from conftest import T_OB, place_pulse, place_with_energy_peak, windowed_energy_argmax
@@ -72,11 +72,11 @@ def test_01_quantization_contract(tp2):
     for t0 in arrivals:
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         t_star = windowed_energy_argmax(v, tp2)
-        energy = _windowed_energy(v, tp2)
+        peak = energy_peak(v, tp2, T_OB)
         for m, q in configs:
             cfg = DetectorBankConfig(branches=m, stages=q, t_ob=T_OB, t_p=tp2)
             delta = cfg.resolution
-            tau = iterative_toa(energy, cfg).tau
+            tau = iterative_toa(v, peak, cfg).tau
             # floor in exact arithmetic: when the grid-point argmax coincides
             # with a cell edge it belongs to the upper half-open cell, which
             # float division can miss by one ulp. The nudge is far above the
@@ -94,7 +94,9 @@ def test_02_two_pass_walkthrough():
     tp10 = effective_duration(tx, 0.9999)
     v = place_with_energy_peak(10, 7.5685e-9, tp10, STEP, N_OB)
     est = iterative_toa(
-        _windowed_energy(v, tp10), DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10)
+        v,
+        energy_peak(v, tp10, T_OB),
+        DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10),
     )
     assert est.taus[0] == pytest.approx(7.0e-9, abs=1e-15)
     assert est.taus[1] == pytest.approx(7.5e-9, abs=1e-15)

@@ -37,13 +37,12 @@ from mmwave_tdoa.channel import (
     _fast_length,
     _in_band_bins,
     _noise_kernel_spectrum,
-    _two_rows,
     noise_background_psd,
     noise_self_psd,
 )
 from mmwave_tdoa.harness import default_absorption_path
 
-from conftest import T_OB, Inline
+from conftest import T_OB
 
 BAND = (100e9, 300e9)
 
@@ -553,22 +552,9 @@ def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
     assert np.max(np.abs(fast - direct)) <= 1e-12 * rms
 
 
-@pytest.mark.parametrize("n", [200_001, 16_874])
-def test_the_noise_is_bit_identical_with_the_helper_run_inline(monkeypatch, n):
-    step = 5e-14
-    _noise_kernel_spectrum.cache_clear()
-    threaded = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
-    kernel = _noise_kernel_spectrum(n, step, BAND)[1]
-    monkeypatch.setattr(channel, "_helper", Inline)
-    _noise_kernel_spectrum.cache_clear()
-    inline = _band_limited_noise(np.random.default_rng(5), n, step, BAND, 1e-12)
-    assert np.array_equal(_noise_kernel_spectrum(n, step, BAND)[1], kernel)
-    assert np.array_equal(inline, threaded)
-
-
 def test_noise_drawn_from_many_threads_at_once_matches_one_at_a_time():
-    """Six callers share the one helper thread, with thread switches every
-    10 us: each still gets its own seed's noise."""
+    """Six callers at once, with thread switches every 10 us: each still
+    gets its own seed's noise."""
     n, step, seeds = 20_001, 5e-14, range(6)
     serial = [_band_limited_noise(np.random.default_rng(s), n, step, BAND, 1e-12) for s in seeds]
     interval = sys.getswitchinterval()
@@ -584,97 +570,6 @@ def test_noise_drawn_from_many_threads_at_once_matches_one_at_a_time():
         sys.setswitchinterval(interval)
     for one, many in zip(serial, concurrent):
         assert np.array_equal(one, many)
-
-
-def _pair_within(task, timeout=30.0):
-    """`_two_rows(task)` on a thread of its own, its result or exception
-    awaited for at most `timeout` seconds."""
-    pool = ThreadPoolExecutor(1)
-    try:
-        return pool.submit(_two_rows, task).result(timeout=timeout)
-    finally:
-        pool.shutdown(wait=False)
-
-
-def test_an_error_in_the_helpers_transform_reaches_the_caller():
-    out = np.zeros(2)
-
-    def task(row):
-        if row == 1:
-            raise ValueError("the helper's transform failed")
-        out[row] = 1.0
-
-    with pytest.raises(ValueError, match="the helper's transform failed"):
-        _pair_within(task)
-    assert out[0] == 1.0
-
-
-def test_the_helpers_transform_finishes_before_the_callers_error_arrives():
-    """The caller's row raises while the helper's is still running; the
-    exception reaches the caller only after the helper has written its
-    row, so no thread writes into `out` once the caller has it back."""
-    started = threading.Event()
-    out = np.zeros(2)
-
-    def task(row):
-        if row == 1:
-            started.set()
-            time.sleep(0.2)
-            out[row] = 1.0
-        else:
-            assert started.wait(timeout=10), "the helper's transform never started"
-            raise ValueError("the caller's transform failed")
-
-    with pytest.raises(ValueError, match="the caller's transform failed"):
-        _pair_within(task)
-    assert out[1] == 1.0
-
-
-def _seeds(count):
-    return [np.random.SeedSequence([4, k]) for k in range(count)]
-
-
-@pytest.mark.parametrize("n", [200_001, 16_874])
-def test_noise_drawn_ahead_on_the_helper_matches_each_draw_made_inline(monkeypatch, n):
-    """Each call draws the next seed's white sequence ahead on the helper;
-    the noise is bit for bit that of each seed drawn on its own with the
-    helper run inline, and each call finds its draw waiting for it."""
-    step, seeds = 5e-14, _seeds(5)
-    ahead = []
-    drawn = []
-    for seed, next_seed in zip(seeds, seeds[1:] + [None]):
-        drawn.append(_band_limited_noise(seed, n, step, BAND, 1e-12, next_seed))
-        ahead.append(None if channel._AHEAD is None else channel._AHEAD[0])
-    assert ahead == seeds[1:] + [None]
-    monkeypatch.setattr(channel, "_helper", Inline)
-    for seed, noise in zip(seeds, drawn):
-        inline = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
-        assert np.array_equal(noise, inline)
-
-
-def test_a_draw_made_ahead_for_one_seed_is_never_returned_for_another():
-    """A draw pending for seed A (or for A at another length) is waited
-    for and dropped by a trace of seed B, which draws its own; A's own trace
-    then draws inline too, and every result is its seed's noise."""
-    n, step = 20_001, 5e-14
-    a, b, c = _seeds(3)
-    reference = {
-        key: _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
-        for key, seed in (("a", a), ("b", b), ("c", c))
-    }
-    _band_limited_noise(c, n, step, BAND, 1e-12, next_seed=a)
-    assert channel._AHEAD[0] is a
-    assert np.array_equal(_band_limited_noise(b, n, step, BAND, 1e-12), reference["b"])
-    assert channel._AHEAD is None
-    assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
-    # The same seed object, drawn ahead at another length.
-    _band_limited_noise(c, n + 1, step, BAND, 1e-12, next_seed=a)
-    assert channel._AHEAD[1].size == n + 1
-    assert np.array_equal(_band_limited_noise(a, n, step, BAND, 1e-12), reference["a"])
-    # A draw planted for a, filled with NaN, is not handed to c.
-    done = Inline().submit(lambda: None)
-    channel._AHEAD = (a, np.full(n, np.nan), done)
-    assert np.array_equal(_band_limited_noise(c, n, step, BAND, 1e-12), reference["c"])
 
 
 def _exit_code_within(pid: int, seconds: float) -> int:
@@ -711,49 +606,38 @@ def _fork_noise_child(seed, n, step, expected) -> int:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
-    """The helper thread is not forked into the child; the child starts its
-    own on its first transform pair instead of waiting on the parent's. A
-    draw the parent started ahead for the child's seed is pending at the
-    fork; the child forgets it and draws its own."""
+    """The noise keeps no per-process state but its memoized band-pass, so
+    a child forked after the parent drew a trace's noise draws the same
+    noise for the same seed, and the parent draws it again after the fork."""
     n, step = 20_001, 5e-14
-    parent = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
-    seed = np.random.SeedSequence(9)
-    release = threading.Event()
-    # The helper is held busy, so the draw ahead for seed is still queued.
-    channel._helper().submit(release.wait, 30)
-    channel._draw_ahead(seed, n)
-    assert channel._HELPER is not None and not channel._AHEAD[2].done()
-    pid = _fork_noise_child(seed, n, step, parent)
-    try:
-        assert _exit_code_within(pid, 60.0) == 0
-    finally:
-        release.set()
-    assert np.array_equal(_band_limited_noise(seed, n, step, BAND, 1e-12), parent)
+    parent = _band_limited_noise(np.random.SeedSequence(9), n, step, BAND, 1e-12)
+    pid = _fork_noise_child(np.random.SeedSequence(9), n, step, parent)
+    assert _exit_code_within(pid, 60.0) == 0
+    assert np.array_equal(_band_limited_noise(np.random.SeedSequence(9), n, step, BAND, 1e-12), parent)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_while_a_thread_holds_the_helper_lock_draws_its_noise():
-    """fork copies the helper's lock held, as a parent thread held it, and
-    no thread of the child would ever release it; the child gets a fresh
-    lock and draws a full trace's noise."""
+def test_a_child_forked_while_another_thread_draws_noise_draws_its_own():
+    """fork copies only the forking thread, while another thread is in the
+    middle of drawing noise; the child still draws a full trace's noise,
+    equal to the same seed's noise drawn alone."""
     n, step = 200_001, 5e-14
     expected = _band_limited_noise(np.random.default_rng(9), n, step, BAND, 1e-12)
-    held, release = threading.Event(), threading.Event()
+    stop = threading.Event()
 
-    def hold():
-        with channel._HELPER_LOCK:
-            held.set()
-            release.wait(60)
+    def draw():
+        while not stop.is_set():
+            _band_limited_noise(np.random.default_rng(4), n, step, BAND, 1e-12)
 
-    holder = threading.Thread(target=hold)
-    holder.start()
+    drawer = threading.Thread(target=draw)
+    drawer.start()
     try:
-        assert held.wait(10), "the holding thread never took the lock"
+        time.sleep(0.05)
         pid = _fork_noise_child(np.random.default_rng(9), n, step, expected)
         code = _exit_code_within(pid, 30.0)
     finally:
-        release.set()
-        holder.join()
+        stop.set()
+        drawer.join()
     assert code == 0
 
 

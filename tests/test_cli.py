@@ -208,7 +208,7 @@ def test_an_unreadable_input_exits_2_naming_its_file_or_field(tmp_path, capsys, 
         assert (str(cfg_file) if case.startswith("config") else "error: absorption_path: ") in err
 
 
-def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
+def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path, one_shard):
     out = tmp_path / "run"
     assert main(["simulate-tdoa", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "trials.csv").exists()
@@ -217,6 +217,7 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path):
     assert set(meta) == {"wall_time_s", "stage_s"}
     assert set(meta["stage_s"]) == {"propagate", "ctma", "sampling"}
     assert all(seconds > 0.0 for seconds in meta["stage_s"].values())
+    # On one shard; the stage times of shards run at once add up past it.
     assert sum(meta["stage_s"].values()) <= meta["wall_time_s"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["seed"] == 11
@@ -292,13 +293,14 @@ def test_simulate_toa_table_ignores_toa_mode(tmp_path):
     assert tables[0] == tables[1]
 
 
-def test_simulate_toa_writes_run_meta(cfg_path, tmp_path):
+def test_simulate_toa_writes_run_meta(cfg_path, tmp_path, one_shard):
     out = tmp_path / "toa"
     assert main(["simulate-toa", "--config", str(cfg_path), "--out", str(out)]) == 0
     meta = json.loads((out / "run_meta.json").read_text())
     stage_s = meta["stage_s"]
     assert stage_s["propagate"] > 0.0 and stage_s["ctma"] > 0.0
     assert stage_s["sampling"] == 0.0
+    # On one shard; the stage times of shards run at once add up past it.
     assert sum(stage_s.values()) <= meta["wall_time_s"]
 
 
@@ -447,36 +449,36 @@ def test_a_sampling_toa_too_early_to_localize_names_sampling_rates(
     assert "Traceback" not in err
 
 
-def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(tmp_path, monkeypatch):
+def test_simulate_tdoa_propagates_each_trace_once_with_its_seed(
+    tmp_path, monkeypatch, one_shard
+):
     """The hooks the benchmark tracer relies on: one `harness.propagate` call
     per (position, run, receiver) in loop order, each with the seed
-    SeedSequence([seed, position, run, receiver]), and one windowed energy
-    per trace however many banks share it."""
-    from mmwave_tdoa import detector, harness
+    SeedSequence([seed, position, run, receiver]), and one windowed-energy
+    peak per trace however many banks share it."""
+    from mmwave_tdoa import harness
 
-    seeds, energies = [], []
-    real_propagate, real_energy = harness.propagate, detector._windowed_energy
+    seeds, peaks = [], []
+    real_propagate, real_peak = harness.propagate, harness.energy_peak
 
     def propagate(*args, seed, **kwargs):
         seeds.append(list(seed.entropy))
         return real_propagate(*args, seed=seed, **kwargs)
 
-    def windowed_energy(*args, **kwargs):
-        if seeds:  # the calibration in prepare() runs before the first trace
-            energies.append(len(seeds))
-        return real_energy(*args, **kwargs)
+    def energy_peak(*args, **kwargs):
+        peaks.append(len(seeds))
+        return real_peak(*args, **kwargs)
 
     monkeypatch.setattr(harness, "propagate", propagate)
-    monkeypatch.setattr(harness, "_windowed_energy", windowed_energy)
-    monkeypatch.setattr(detector, "_windowed_energy", windowed_energy)
+    monkeypatch.setattr(harness, "energy_peak", energy_peak)
     cfg = {**TINY_CFG, "n_runs": 3, "mq_pairs": [[10, 2], [12, 2]]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["simulate-tdoa", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     order = [[11, p, r, b] for p in range(2) for r in range(3) for b in range(3)]
     assert seeds == order
-    # Each trace's energy is computed right after its own propagate call.
-    assert energies == list(range(1, 19))
+    # Each trace's peak is found right after its own propagate call.
+    assert peaks == list(range(1, 19))
 
 
 @pytest.mark.parametrize(

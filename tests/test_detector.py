@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from mmwave_tdoa import detector
 from mmwave_tdoa.detector import (
     _lpf_kernel,
     _windowed_energy,
+    energy_peak,
     require_resolvable,
     sampling_toas,
 )
@@ -156,7 +158,9 @@ def test_two_pass_walkthrough_600ghz_pulse():
     tp10 = effective_duration(tx, 0.9999)
     v = place_with_energy_peak(10, 7.5685e-9, tp10, STEP, N_OB)
     est = iterative_toa(
-        _windowed_energy(v, tp10), DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10)
+        v,
+        energy_peak(v, tp10, T_OB),
+        DetectorBankConfig(branches=10, stages=2, t_ob=T_OB, t_p=tp10),
     )
     assert est.taus[0] == pytest.approx(7.0e-9, abs=1e-15)
     assert est.taus[1] == pytest.approx(7.5e-9, abs=1e-15)
@@ -168,7 +172,7 @@ def test_peak_at_window_start_selects_every_last_branch(tp2):
     v = SignalTrace(0.0, STEP, np.zeros(N_OB))
     v.samples[0] = 1.0
     cfg = bank(4, 3, tp2)
-    est = iterative_toa(_windowed_energy(v, tp2), cfg)
+    est = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg)
     assert est.selected == (4, 4, 4, 4)
     assert est.tau == 0.0
 
@@ -182,7 +186,7 @@ def test_quantization_contract_random_arrivals(m, q, tp2):
         t0 = rng.uniform(0.5e-9, 9.5e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
         t_star = windowed_energy_argmax(v, tp2)
-        est = iterative_toa(_windowed_energy(v, tp2), cfg)
+        est = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg)
         # tiny nudge: an argmax exactly on a cell edge belongs to the upper
         # half-open cell, which bare float division can miss by one ulp; the
         # nudge must stay below the smallest true grid-to-edge gap (step/64
@@ -193,7 +197,7 @@ def test_quantization_contract_random_arrivals(m, q, tp2):
 def test_reconstruction_identity(tp2):
     v = place_pulse(2, 200e9, 6.1234e-9, STEP, N_OB)
     cfg = bank(3, 4, tp2)
-    est = iterative_toa(_windowed_energy(v, tp2), cfg)
+    est = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg)
     rebuilt = sum(
         (cfg.branches - m_hat) * cfg.t_ob / cfg.branches**q
         for q, m_hat in enumerate(est.selected, start=1)
@@ -204,7 +208,7 @@ def test_reconstruction_identity(tp2):
 def test_refinement_is_nested(tp2):
     v = place_pulse(2, 200e9, 4.777e-9, STEP, N_OB)
     cfg = bank(5, 3, tp2)
-    est = iterative_toa(_windowed_energy(v, tp2), cfg)
+    est = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg)
     for q in range(1, len(est.taus)):
         width_prev = cfg.t_ob / cfg.branches**q
         assert est.taus[q] >= est.taus[q - 1] - 1e-18
@@ -221,7 +225,7 @@ def test_accuracy_bound_tightens_with_extra_stage(tp2):
         for t0 in arrivals:
             v = place_pulse(2, 200e9, t0, STEP, N_OB)
             t_star = windowed_energy_argmax(v, tp2)
-            errs.append(abs(iterative_toa(_windowed_energy(v, tp2), cfg).tau - t_star))
+            errs.append(abs(iterative_toa(v, energy_peak(v, tp2, T_OB), cfg).tau - t_star))
         worst[q] = max(errs)
         assert worst[q] <= cfg.resolution
     assert worst[9] <= worst[8]
@@ -231,17 +235,17 @@ def test_resolvability_guard(tp2):
     v = SignalTrace(0.0, STEP, np.zeros(N_OB))
     v.samples[1000] = 1.0
     with pytest.raises(ConfigurationError, match="resolution"):
-        iterative_toa(_windowed_energy(v, tp2), bank(10, 5, tp2))  # 1e-14 s < 4 steps
+        iterative_toa(v, energy_peak(v, tp2, T_OB), bank(10, 5, tp2))  # 1e-14 s < 4 steps
 
 
 def test_trace_must_cover_the_observation_window(tp2):
     cfg = bank(2, 3, tp2)
-    iterative_toa(SignalTrace(0.0, STEP, np.zeros(N_OB)), cfg)  # covers [0, t_ob]
+    iterative_toa(SignalTrace(0.0, STEP, np.zeros(N_OB)), 0, cfg)  # covers [0, t_ob]
     late = SignalTrace(STEP, STEP, np.zeros(N_OB))  # starts after 0
     short = SignalTrace(0.0, STEP, np.zeros(N_OB - 20))  # ends before t_ob
     for energy in (late, short):
         with pytest.raises(ConfigurationError, match="observation window"):
-            iterative_toa(energy, cfg)
+            iterative_toa(energy, 0, cfg)
 
 
 def test_tie_breaks_toward_earlier_interval(tp2):
@@ -251,7 +255,7 @@ def test_tie_breaks_toward_earlier_interval(tp2):
     v.samples[i1 : i1 + 100] = 1.0
     v.samples[i2 : i2 + 100] = 1.0
     cfg = bank(5, 0, tp2)
-    est = iterative_toa(_windowed_energy(v, tp2), cfg)
+    est = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg)
     assert est.tau == pytest.approx(2e-9, abs=1e-15)  # slot [2, 4) ns, not [6, 8)
 
 
@@ -284,6 +288,12 @@ def _slot_max_toa(energy: SignalTrace, cfg: DetectorBankConfig) -> ToaEstimate:
     for q, m_hat in enumerate(selected, start=1):
         tau += (m_count - m_hat) * cfg.t_ob / m_count**q
     return ToaEstimate(selected=tuple(selected), taus=tuple(taus), tau=tau)
+
+
+def _first_maximum(energy: SignalTrace, t_ob: float) -> int:
+    """Grid index of the first maximum of energy over [0, t_ob)."""
+    i0, i1 = energy.index_range(0.0, t_ob)
+    return i0 + int(np.argmax(energy.samples[i0:i1]))
 
 
 # Every bank shape the default grid resolves, (2, 0) to the full profile's
@@ -329,7 +339,66 @@ def test_first_maximum_picks_the_slot_of_the_largest_slot_maximum(
     elif kind == "lead":
         x[0], x[int(density * (N_OB - 1))] = 2.0, 1.0
     energy = SignalTrace(start, STEP, x)
-    assert iterative_toa(energy, cfg) == _slot_max_toa(energy, cfg)
+    assert iterative_toa(energy, _first_maximum(energy, cfg.t_ob), cfg) == _slot_max_toa(energy, cfg)
+
+
+@pytest.mark.parametrize("power", [1e-6, 1e-9, 1e-10])
+def test_the_pruned_peak_is_the_dense_first_maximum_on_noisy_desk_traces(power):
+    """At desk power a few blocks can hold the peak; at 0.1 nW, in the
+    threshold regime, most of them."""
+    desk = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_sweep.json")
+    cfg = dataclasses.replace(desk, pulse_power=power)
+    prep = prepare(cfg)
+    for seed, distance in enumerate((0.05, 0.6, 1.3, 2.0, 2.8)):
+        spec = ChannelSpec(distance, cfg.pulse_center_frequency, cfg.band)
+        noise = noise_variance(spec, prep.paths.table, prep.psd)
+        trace = propagate(prep.paths, spec, seed=seed, noise_power=noise)
+        dense = _first_maximum(_windowed_energy(trace, prep.t_p), cfg.t_ob)
+        assert energy_peak(trace, prep.t_p, cfg.t_ob) == dense
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [
+        (50_000, 130_000),  # blocks 12 and 31 of 4,096 points
+        (5 * 4096 - 120, 20 * 4096 - 120),  # each top straddles two blocks
+    ],
+)
+def test_two_equal_maxima_in_different_blocks_give_the_earlier_peak(tp2, starts):
+    """Unit bumps sum exactly, so both maxima are equal in the dense output
+    and in each block's own running sum; the earlier one wins."""
+    v = SignalTrace(0.0, STEP, np.zeros(N_OB))
+    for i in starts:
+        v.samples[i : i + 100] = 1.0
+    energy = _windowed_energy(v, tp2)
+    peak = energy_peak(v, tp2, T_OB)
+    assert energy.samples[peak] == energy.samples[starts[1] + 99] == np.max(energy.samples)
+    assert peak == _first_maximum(energy, T_OB) == starts[0] + 99
+
+
+@pytest.mark.parametrize("w", [1, 160, 4096, 5000])
+@pytest.mark.parametrize("start", [0.0, -0.3 * STEP])
+def test_the_pruned_peak_is_the_dense_first_maximum_at_every_window(w, start):
+    """White noise gives every block a like bound, so the one pass computes
+    most of them: windows of one point, the desk's, one block and longer
+    than a block, on a trace that starts at 0 or has a point before it; the
+    window's 200,000 points end in a short block."""
+    v = SignalTrace(start, STEP, np.random.default_rng(w).standard_normal(N_OB))
+    energy = _windowed_energy(v, w * STEP)
+    assert energy_peak(v, w * STEP, T_OB) == _first_maximum(energy, T_OB)
+
+
+def test_the_pruned_peak_rejects_an_energy_that_overflows():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConfigurationError, match="energy overflows"):
+            energy_peak(SignalTrace(0.0, STEP, np.full(100, 1e200)), 10 * STEP, 90 * STEP)
+
+
+def test_the_bank_walk_rejects_a_peak_outside_the_window(tp2):
+    v = SignalTrace(0.0, STEP, np.zeros(N_OB))
+    for peak in (-1, N_OB - 1):
+        with pytest.raises(ConfigurationError, match=f"peak index {peak} lies outside"):
+            iterative_toa(v, peak, bank(2, 3, tp2))
 
 
 # ----------------------------------------------------------- sampling method
@@ -428,8 +497,9 @@ def test_first_maximum_matches_the_slot_maxima_on_desk_traces_at_every_full_prof
     energies = [_windowed_energy(trace, t_p) for trace in traces]
     for m, q in full.mq_pairs:
         cfg = DetectorBankConfig(branches=m, stages=q, t_ob=full.t_ob, t_p=t_p)
-        for energy in energies:
-            assert iterative_toa(energy, cfg) == _slot_max_toa(energy, cfg)
+        for trace, energy in zip(traces, energies):
+            peak = energy_peak(trace, t_p, full.t_ob)
+            assert iterative_toa(trace, peak, cfg) == _slot_max_toa(energy, cfg)
 
 
 @pytest.mark.parametrize("f_s", [*DESK_RATES, 1.0 / STEP])  # desk rates, grid rate
@@ -538,7 +608,7 @@ def test_matched_resolution_agreement(tp2):
     for _ in range(8):
         t0 = rng.uniform(1e-9, 9e-9)
         v = place_pulse(2, 200e9, t0, STEP, N_OB)
-        tau_bank = iterative_toa(_windowed_energy(v, tp2), cfg).tau
+        tau_bank = iterative_toa(v, energy_peak(v, tp2, T_OB), cfg).tau
         tau_sample = sampling_toas(v, tp2, [1.0 / delta])[0]
         assert abs(tau_bank - tau_sample) <= delta * (1.0 + 1e-9)
 

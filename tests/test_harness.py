@@ -26,7 +26,6 @@ from mmwave_tdoa.harness import (
 )
 from mmwave_tdoa.locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 
-from conftest import Inline
 
 
 def make_trial(pos, run, error, estimator="ctma", alpha=1000, f_s=None):
@@ -189,7 +188,7 @@ def test_positions_respect_guard_ring():
 # ------------------------------------------------------------------ execution
 
 
-def test_run_experiment_is_deterministic(monkeypatch):
+def test_run_experiment_is_deterministic(monkeypatch, one_shard):
     """Two runs give the same trials, summary and received traces. At
     TINY's pulse power the TOAs are bound by quantization, so only the
     traces show a change in the noise realization."""
@@ -375,7 +374,7 @@ def test_write_rows_csv_writes_each_cell_as_csv_writer_does(tmp_path):
 # -------------------------------------------------- run-invariant signal caches
 
 
-def test_cached_traces_match_single_shot_propagation(monkeypatch):
+def test_cached_traces_match_single_shot_propagation(monkeypatch, one_shard):
     """Every trace the shared loop propagates (one `PathCache` per
     experiment, shared by every position) equals a propagate of the same
     path on a fresh `PathCache` with the same seed and noise power."""
@@ -387,8 +386,8 @@ def test_cached_traces_match_single_shot_propagation(monkeypatch):
     real = harness.propagate
     seen = []
 
-    def spy(cache, spec, seed, noise_power, next_seed=None):
-        trace = real(cache, spec, seed, noise_power, next_seed)
+    def spy(cache, spec, seed, noise_power, piece=None):
+        trace = real(cache, spec, seed, noise_power, piece)
         _, p_idx, r_idx, b = seed.entropy
         x, y = positions[p_idx]
         path = ChannelSpec(
@@ -427,9 +426,9 @@ def test_prepare_builds_the_one_path_cache_every_trace_uses(monkeypatch, entry):
         preps.append(real_prepare(cfg))
         return preps[-1]
 
-    def spy_propagate(cache, spec, seed, noise_power, next_seed=None):
+    def spy_propagate(cache, spec, seed, noise_power, piece=None):
         assert cache is preps[-1].paths
-        trace = real_propagate(cache, spec, seed, noise_power, next_seed)
+        trace = real_propagate(cache, spec, seed, noise_power, piece)
         traces.append(trace.samples.size)
         return trace
 
@@ -442,69 +441,21 @@ def test_prepare_builds_the_one_path_cache_every_trace_uses(monkeypatch, entry):
 
 
 def test_a_noiseless_experiment_starts_no_thread(monkeypatch):
-    """Without noise no transform pair runs, so the helper thread is never
-    created and nothing is started."""
+    """The run's work is spread over processes, not threads: nothing is started."""
 
     def refuse(self):
         raise AssertionError(f"a noiseless run started the thread {self.name}")
 
-    monkeypatch.setattr(channel, "_HELPER", None)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     run_experiment(ExperimentConfig(**{**TINY, "noise": False}))
-    assert channel._HELPER is None
 
 
-def test_each_trace_is_handed_the_next_traces_own_seed(monkeypatch):
-    """The loop makes each trace's seed once: the `next_seed` a noisy trace
-    propagates with is the very object the next trace propagates with, and
-    the last trace passes None."""
-    pairs = []
-    real = harness.propagate
-
-    def spy(*args, seed, next_seed, **kwargs):
-        pairs.append((seed, next_seed))
-        return real(*args, seed=seed, next_seed=next_seed, **kwargs)
-
-    monkeypatch.setattr(harness, "propagate", spy)
-    cfg = ExperimentConfig(**TINY)
-    run_experiment(cfg)
-    seeds = [seed for seed, _ in pairs]
-    assert [seed.entropy for seed in seeds] == [
-        [cfg.seed, p, r, b] for p in range(2) for r in range(2) for b in range(3)
-    ]
-    assert all(ahead is seed for (_, ahead), seed in zip(pairs, seeds[1:]))
-    assert pairs[-1][1] is None and channel._AHEAD is None
-
-
-def test_traces_drawn_ahead_match_traces_each_drawn_inline(monkeypatch):
-    """Every trace of a noisy experiment, with its white draw made ahead on
-    the helper thread, equals bit for bit the same trace drawn on its own
-    with the helper run inline; and the trials match."""
-    real = harness.propagate
-
-    def collect(traces, ahead):
-        def spy(*args, next_seed, **kwargs):
-            trace = real(*args, next_seed=next_seed if ahead else None, **kwargs)
-            traces.append(trace.samples)
-            return trace
-
-        return spy
-
-    cfg = ExperimentConfig(**TINY)
-    threaded, inline = [], []
-    monkeypatch.setattr(harness, "propagate", collect(threaded, ahead=True))
-    trials = run_experiment(cfg)[0]
-    monkeypatch.setattr(harness, "propagate", collect(inline, ahead=False))
-    monkeypatch.setattr(channel, "_helper", Inline)
-    assert run_experiment(cfg)[0] == trials
-    assert len(threaded) == len(inline) == 12
-    assert all(np.array_equal(a, b) for a, b in zip(threaded, inline))
-
-
-def test_an_experiment_that_raises_mid_run_leaves_the_next_ones_outputs_alone(monkeypatch):
-    """The failed run leaves a draw pending for its next trace; the next
-    experiment in the process drops it, and its traces and outputs equal
-    those of the same experiment run before the failure."""
+def test_an_experiment_that_raises_mid_run_leaves_the_next_ones_outputs_alone(
+    monkeypatch, one_shard
+):
+    """A run that fails mid-way leaves no state behind: the next experiment
+    in the process has the traces and outputs of the same experiment run
+    before the failure."""
     cfg = ExperimentConfig(**TINY)
     real_propagate, real_sampling, calls = harness.propagate, harness.sampling_toas, []
 
@@ -528,14 +479,13 @@ def test_an_experiment_that_raises_mid_run_leaves_the_next_ones_outputs_alone(mo
     monkeypatch.setattr(harness, "sampling_toas", fail_fourth)
     with pytest.raises(RuntimeError, match="stopped mid-run"):
         run_experiment(cfg)
-    assert channel._AHEAD[0].entropy == [cfg.seed, 0, 1, 1]
     monkeypatch.setattr(harness, "sampling_toas", real_sampling)
     outputs, traces = run()
     assert outputs == expected and len(traces) == len(expected_traces) == 12
     assert all(np.array_equal(a, b) for a, b in zip(traces, expected_traces))
 
 
-def test_noise_band_pass_is_built_once_per_experiment():
+def test_noise_band_pass_is_built_once_per_experiment(one_shard):
     """Built by the first noisy trace, then looked up by every later one."""
     kernels = channel._noise_kernel_spectrum
     cfg = ExperimentConfig(**{**TINY, "sampling_rates": ()})
@@ -570,7 +520,7 @@ def test_the_first_noisy_trace_reuses_the_band_bins_prepare_found(monkeypatch):
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="the page reuse relies on glibc's malloc thresholds"
 )
-def test_a_new_position_runs_on_kept_heap_pages(monkeypatch):
+def test_a_new_position_runs_on_kept_heap_pages(monkeypatch, one_shard):
     """Once the first position has run, later positions (new paths, noisy
     traces) fault in fewer fresh pages in all than one trace holds, on the
     block of heap pages that `PathCache` keeps for the noise's transform."""
@@ -590,7 +540,7 @@ def test_a_new_position_runs_on_kept_heap_pages(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", ["run_experiment", "toa_sweep"])
-def test_each_run_is_freed_before_the_next_propagates(monkeypatch, entry):
+def test_each_run_is_freed_before_the_next_propagates(monkeypatch, one_shard, entry):
     """When the next run's first trace propagates, no trace of an earlier run
     is still referenced, by the loop or by its consumer; and when receiver
     b + 1 propagates, receiver b's trace is gone too."""

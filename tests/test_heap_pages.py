@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from mmwave_tdoa import ChannelSpec, noise_variance, propagate, transmit_psd
-from mmwave_tdoa.detector import _windowed_energy, sampling_toas
-from mmwave_tdoa.harness import ExperimentConfig, _draw_positions, _run_toas, prepare
+from mmwave_tdoa.detector import energy_peak, sampling_toas
+from mmwave_tdoa.harness import ExperimentConfig, _draw_positions, _trial_toas, prepare
 
 DESK = Path(__file__).parents[1] / "configs" / "desk_sweep.json"
 glibc_only = pytest.mark.skipif(
@@ -20,8 +20,9 @@ glibc_only = pytest.mark.skipif(
 
 @glibc_only
 def test_noisy_trace_faults_in_under_one_trace_of_pages():
-    """After two warm-up traces, one noisy desk trace's propagate, windowed
-    energy and sampling TOAs fault in fewer fresh pages than one trace holds.
+    """After two warm-up traces, one noisy desk trace's propagate,
+    windowed-energy peak and sampling TOAs fault in fewer fresh pages than
+    one trace holds.
     Allocating every stage's arrays from fresh mappings, as before
     `_keep_heap_pages`, faults in about 16 traces' worth (6.2k pages)."""
     cfg = ExperimentConfig.from_file(DESK)
@@ -32,8 +33,8 @@ def test_noisy_trace_faults_in_under_one_trace_of_pages():
 
     def stages(seed):
         trace = propagate(cache, spec, seed=seed, noise_power=power)
-        energy = _windowed_energy(trace, prep.t_p)
-        return [trace, energy, sampling_toas(trace, prep.t_p, cfg.sampling_rates)]
+        peak = energy_peak(trace, prep.t_p, cfg.t_ob)
+        return [trace, peak, sampling_toas(trace, prep.t_p, cfg.sampling_rates)]
 
     stages(seed=0)
     stages(seed=1)
@@ -45,14 +46,15 @@ def test_noisy_trace_faults_in_under_one_trace_of_pages():
 
 @glibc_only
 def test_noisy_traces_of_the_harness_loop_fault_in_under_one_trace_of_pages_each():
-    """The same bound per trace in the harness loop, where each noisy trace
-    draws the next one's white sequence ahead on the noise's helper thread,
-    into a buffer this thread allocated. After two warm-up runs, each
+    """The same bound per trace in a shard's loop over its trial-runs, which
+    builds each position's clean pieces once. After two warm-up runs, each
     later run, at the first position or a new one, faults in fewer fresh
     pages per trace than one trace holds."""
     cfg = dataclasses.replace(ExperimentConfig.from_file(DESK), n_positions=2, n_runs=3)
     prep = prepare(cfg)
-    runs = _run_toas(prep, _draw_positions(cfg, prep.layout), defaultdict(float), None)
+    positions = _draw_positions(cfg, prep.layout)
+    cells = [(p, r) for p in range(cfg.n_positions) for r in range(cfg.n_runs)]
+    runs = _trial_toas(prep, positions, cells, defaultdict(float), None)
     next(runs)
     next(runs)
     faults = []

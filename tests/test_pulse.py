@@ -15,6 +15,7 @@ from mmwave_tdoa import (
     spectral_peak,
 )
 from mmwave_tdoa.harness import ExperimentConfig
+from mmwave_tdoa.pulse import _hermite
 
 
 def test_spec_validation():
@@ -200,3 +201,15 @@ def test_an_order_that_overflows_is_rejected_naming_pulse_order(order):
     with pytest.raises(ConfigurationError, match="^pulse_order") as info:
         generate_pulse(PulseSpec(order=order, center_frequency=200e9, power=1e-6))
     assert "overflows double precision" in str(info.value)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_the_inline_hermite_recurrence_is_numpys_hermval_bit_for_bit(order):
+    """numpy's `hermval` stays the reference; the package no longer imports
+    `numpy.polynomial`, a few ms of every process's start."""
+    from numpy.polynomial.hermite import hermval
+
+    x = np.concatenate([np.linspace(-12.0, 12.0, 40_001), [0.0, -0.0, 1e-300, -1e-300]])
+    coeffs = np.zeros(order + 1)
+    coeffs[order] = 1.0
+    assert np.array_equal(_hermite(x, order), hermval(x, coeffs))
