@@ -335,8 +335,9 @@ def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
     `PathCache`, with n = 2 `_fast_length(n_out)` for the largest arrays a
-    trace allocates, the noise's two-row spectra. Noiseless traces rely on the kept block too: their received
-    zeros and detector arrays reuse its pages instead of faulting in fresh ones.
+    trace allocates, the noise's two-row spectra. Noiseless traces rely on
+    the kept block too: their received zeros and detector arrays reuse its
+    pages instead of faulting in fresh ones.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold
