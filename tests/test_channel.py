@@ -609,11 +609,11 @@ def test_a_child_forked_after_a_noisy_trace_draws_the_parents_noise():
     """The noise keeps no per-process state but its memoized band-pass, so
     a child forked after the parent drew a trace's noise draws the same
     noise for the same seed, and the parent draws it again after the fork."""
-    n, step = 20_001, 5e-14
-    parent = _band_limited_noise(np.random.SeedSequence(9), n, step, BAND, 1e-12)
-    pid = _fork_noise_child(np.random.SeedSequence(9), n, step, parent)
+    n, step, seed = 20_001, 5e-14, np.random.SeedSequence(9)
+    parent = _band_limited_noise(seed, n, step, BAND, 1e-12)
+    pid = _fork_noise_child(seed, n, step, parent)
     assert _exit_code_within(pid, 60.0) == 0
-    assert np.array_equal(_band_limited_noise(np.random.SeedSequence(9), n, step, BAND, 1e-12), parent)
+    assert np.array_equal(_band_limited_noise(seed, n, step, BAND, 1e-12), parent)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

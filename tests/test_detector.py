@@ -339,7 +339,8 @@ def test_first_maximum_picks_the_slot_of_the_largest_slot_maximum(
     elif kind == "lead":
         x[0], x[int(density * (N_OB - 1))] = 2.0, 1.0
     energy = SignalTrace(start, STEP, x)
-    assert iterative_toa(energy, _first_maximum(energy, cfg.t_ob), cfg) == _slot_max_toa(energy, cfg)
+    peak = _first_maximum(energy, cfg.t_ob)
+    assert iterative_toa(energy, peak, cfg) == _slot_max_toa(energy, cfg)
 
 
 @pytest.mark.parametrize("power", [1e-6, 1e-9, 1e-10])

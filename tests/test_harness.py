@@ -27,7 +27,6 @@ from mmwave_tdoa.harness import (
 from mmwave_tdoa.locate import BsLayout, ToaTriplet, solve_position, tdoa_ranges
 
 
-
 def make_trial(pos, run, error, estimator="ctma", alpha=1000, f_s=None):
     return TrialResult(
         estimator=estimator,
