@@ -310,34 +310,51 @@ def _band_pass(n: int, step: float, band: tuple[float, float]) -> np.ndarray:
     return kernel
 
 
+def _noise_half_length(n: int) -> int:
+    """The half length M = `_fast_length(n - 1)` of the noise's polyphase
+    convolution of n points (`_band_limited_noise`). A decimal grid's
+    interval count n - 1 = t_ob / step is 5-smooth, so M = n - 1 (200,000
+    for the 200,001-point trace) and one product of the convolution wraps;
+    otherwise M = `_fast_length(n)` >= n and none does."""
+    return _fast_length(n - 1)
+
+
 @functools.lru_cache(maxsize=4)
 def _noise_kernel_spectrum(
     n: int, step: float, band: tuple[float, float]
-) -> tuple[int, np.ndarray]:
-    """The half length M = `_fast_length(n)` and, as the rows of one
-    array, three rfft at M of the n-point `_band_pass(n, step, band)` h:
-    of its even samples h[0::2], of its odd samples h[1::2], and of its odd
-    samples delayed one step. `_band_limited_noise` combines them into a
-    linear convolution of 2 M points. Memoized on its values, and
-    read-only, because every noisy trace of an experiment shares it: the
-    first noisy trace builds it."""
-    length = _fast_length(n)
+) -> tuple[int, np.ndarray, float]:
+    """The half length M = `_noise_half_length(n)`; as the rows of one
+    array, three rfft at M of the n-point `_band_pass(n, step, band)` h: of
+    its even samples h[0::2], of its odd samples h[1::2], and of its odd
+    samples delayed one step; and h[n - 1], the factor of the one product
+    that wraps when M = n - 1. `_band_limited_noise` combines them into a
+    linear convolution of 2 M points. For an odd n and M = n - 1 the odd
+    row comes from the even one: h is even, h[2j + 1] = h[2 (M / 2 - j)],
+    so Ho[q] = (-1)^q conj(He[q] - h[0]) with no transform of its own.
+    Memoized on its values, and read-only, because every noisy trace of an
+    experiment shares it: the first noisy trace builds it."""
+    length = _noise_half_length(n)
     kernel = _band_pass(n, step, band)
     spectra = np.empty((3, length // 2 + 1), dtype=np.complex128)
-    for r in (0, 1):
-        np.fft.rfft(kernel[r::2], length, out=spectra[r])
+    np.fft.rfft(kernel[0::2], length, out=spectra[0])
+    if n % 2 and length == n - 1:
+        np.subtract(spectra[0], kernel[0], out=spectra[1])
+        np.conjugate(spectra[1], out=spectra[1])
+        np.negative(spectra[1, 1::2], out=spectra[1, 1::2])
+    else:
+        np.fft.rfft(kernel[1::2], length, out=spectra[1])
     np.multiply(spectra[1], _delay_phase(length, step, step), out=spectra[2])
     spectra.flags.writeable = False
-    return length, spectra
+    return length, spectra, float(kernel[-1])
 
 
 def _keep_heap_pages(n: int) -> None:
     """Allocate and free one untouched block of 4 n doubles, so that later
     arrays of up to that size reuse heap pages. Its one caller is
-    `PathCache`, with n = 2 `_fast_length(n_out)` for the largest arrays a
-    trace allocates, the noise's two-row spectra. Noiseless traces rely on
-    the kept block too: their received zeros and detector arrays reuse its
-    pages instead of faulting in fresh ones.
+    `PathCache`, with n = 2 M, M = `_noise_half_length(n_out)`, for the
+    largest arrays a trace allocates, the noise's two-row spectra.
+    Noiseless traces rely on the kept block too: their received zeros and
+    detector arrays reuse its pages instead of faulting in fresh ones.
 
     glibc's malloc serves each block above its mmap threshold with freshly
     mapped zeroed pages and unmaps them on free. It raises that threshold
@@ -363,7 +380,10 @@ def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], po
     time), each an irfft at the half length M: with E and O the rfft at M
     of x[0::2] and x[1::2], and He, Ho and Hd the kernel's even, odd and
     delayed odd rows, y[0::2] = irfft(He E + Hd O) and y[1::2] = irfft(Ho E
-    + He O).
+    + He O). The even half has n points and the odd half n - 1, so at
+    M = n - 1 (`_noise_half_length`) the last point y[2n - 2] = h[n - 1]
+    x[n - 1] wraps onto y[0]; it is taken off there and added where the
+    fold puts it, at point n - 2.
     """
     # A unit-variance white sequence keeps the fraction 2 * (f2 - f1) * step
     # of its power inside the band (within 1 %, by `_in_band_bins`); rescale
@@ -372,23 +392,28 @@ def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], po
     if not np.isfinite(scale):
         raise ConfigurationError(f"noise power {power:.3e} W overflows the noise scale")
     # Built before the draw, the memoized kernel sits below it on the heap (-1.5 MB peak RSS).
-    length, (even, odd, delayed) = _noise_kernel_spectrum(n, step, band)
+    length, (even, odd, delayed), tail = _noise_kernel_spectrum(n, step, band)
     white = np.random.default_rng(seed).standard_normal(n)
     spectra = np.empty((2, length // 2 + 1), dtype=np.complex128)
     for r in (0, 1):
         np.fft.rfft(white[r::2], length, out=spectra[r])
+    wrapped = tail * white[-1]
     del white
-    # Both cross terms (each reads the other row) come first; irfft r reuses cross[r]'s memory.
+    # Both cross terms (each reads the other row) come first; irfft r reuses
+    # cross[r]'s memory, which holds one point past the M the irfft writes.
     cross = np.empty_like(spectra)
-    halves = cross.view(np.float64)[:, :length]
+    halves = cross.view(np.float64)[:, : length + 1]
     for r in (0, 1):
         np.multiply((delayed, odd)[r], spectra[1 - r], out=cross[r])
     for r in (0, 1):
         product = spectra[r]
         product *= even
         product += cross[r]
-        np.fft.irfft(product, length, out=halves[r])
+        np.fft.irfft(product, length, out=halves[r, :length])
     del spectra
+    if length < n:
+        halves[0, 0] -= wrapped
+        halves[0, length] = wrapped
     # y[k] = halves[k % 2][k // 2]; point k + n of y wraps onto k < n - 1.
     received = np.empty(n)
     for parity in (0, 1):
@@ -443,16 +468,16 @@ class PathCache:
     points n_out, the pulse spectrum and the absorption exponent -0.5 k(f)
     at the short transform length L = `_fast_length(pulse + 2 G)`, with G
     the `GUARD` in grid steps, and the experiment's one block of kept heap
-    pages (`_keep_heap_pages`), sized for the noise's transforms. It holds
-    no per-path state: a caller that propagates one path many times builds
-    its `piece` once."""
+    pages (`_keep_heap_pages`), sized for the noise's transforms at the half
+    length `_noise_half_length(n_out)`. It holds no per-path state: a caller
+    that propagates one path many times builds its `piece` once."""
 
     def __init__(self, pulse: SignalTrace, table: AbsorptionTable, window: float):
         self.pulse, self.table, self.window = pulse, table, window
         self.n_out = int(round(window / pulse.step)) + 1
         self.guard = int(round(GUARD / pulse.step))
         self.length = _fast_length(pulse.samples.size + 2 * self.guard)
-        _keep_heap_pages(2 * _fast_length(self.n_out))
+        _keep_heap_pages(2 * _noise_half_length(self.n_out))
         self.spectrum = np.fft.rfft(pulse.samples, self.length)
         self.absorption = -0.5 * table.coefficient(np.fft.rfftfreq(self.length, pulse.step))
 

@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .harness import (
     ExperimentConfig,
@@ -103,7 +105,14 @@ def main(argv=None) -> int:
             for row in rows:
                 print(_format_row(row))
         # Times live outside summary.json so identical runs stay byte-identical.
-        meta = {"wall_time_s": time.perf_counter() - started, "stage_s": stage_seconds(timings)}
+        # The stage times sum over the trial-run shards that ran at once; the
+        # outputs' last bits depend on numpy's transforms.
+        meta = {
+            "wall_time_s": time.perf_counter() - started,
+            "stage_s": stage_seconds(timings),
+            "trial_run_shards": timings["shards"],
+            "numpy_version": np.__version__,
+        }
         write_summary_json(meta, out / "run_meta.json")
         return 0
     except ConfigurationError as exc:

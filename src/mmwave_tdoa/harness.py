@@ -418,8 +418,9 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
 
     The (position, run) trial-runs split into contiguous shards, one per
     usable core (`_shard_count`), run at once by `_in_shards`; each adds
-    its stage times into timings. The first shard runs in this process, so
-    the traces of position 0, run 0 are dumped from here."""
+    its stage times into timings, and timings["shards"] counts them. The
+    first shard runs in this process, so the traces of position 0, run 0
+    are dumped from here."""
     cells = list(itertools.product(range(len(positions)), range(prep.config.n_runs)))
     count = _shard_count(len(cells))
     edges = [len(cells) * k // count for k in range(count + 1)]
@@ -434,6 +435,7 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
         toas += shard_toas
         for key, seconds in shard_timings.items():
             timings[key] += seconds
+    timings["shards"] = count
     return [(p_idx, r_idx, run) for (p_idx, r_idx), run in zip(cells, toas)]
 
 
@@ -593,7 +595,8 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     the time of the per-trace stage its points share (the windowed-energy
     peak; the LPF with every rate's sampling), and "propagate" to the time
     of every path's clean piece and every `propagate` call, noise included
-    (see `stage_seconds`). Each time sums over the shards that ran at once.
+    (see `stage_seconds`). Each time sums over the shards that ran at once,
+    and "shards" holds their number.
     """
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)
@@ -621,10 +624,12 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
 def stage_seconds(timings) -> dict:
     """Seconds per stage of a run, from `run_experiment`'s timings:
     propagation (noise included), then each estimator family with its
-    shared stage, its sweep points and their position solves."""
+    shared stage, its sweep points and their position solves. The shard
+    count is no stage."""
     stages = {"propagate": 0.0, "ctma": 0.0, "sampling": 0.0}
     for key, seconds in timings.items():
-        stages[key if isinstance(key, str) else key[0]] += seconds
+        if key != "shards":
+            stages[key if isinstance(key, str) else key[0]] += seconds
     return stages
 
 

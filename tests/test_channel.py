@@ -36,6 +36,7 @@ from mmwave_tdoa.channel import (
     _delay_phase,
     _fast_length,
     _in_band_bins,
+    _noise_half_length,
     _noise_kernel_spectrum,
     noise_background_psd,
     noise_self_psd,
@@ -540,11 +541,16 @@ def _direct_band_limited_noise(rng, n, step, band, power):
     return np.fft.irfft(spectrum, n) * np.sqrt(power / kept)
 
 
-@pytest.mark.parametrize("n", [200_001, 200_000, 16_875, 16_874])
+@pytest.mark.parametrize("n", [200_001, 200_000, 16_875, 16_874, 16_876, 20_001])
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_band_limited_noise_matches_a_direct_n_point_filter(seed, n):
-    """At 16,875 and 16,874 points the half length `_fast_length(n)` is
-    odd (16,875), so its rfft holds no Nyquist bin."""
+    """At 16,874, 16,875 and 16,876 points the half length
+    `_noise_half_length(n)` is odd (16,875), so its rfft holds no Nyquist
+    bin. At 200,001, 16,876 and 20,001 points M = n - 1 and the one
+    product h[n - 1] x[n - 1] wraps: through the even row for an odd n,
+    through the delayed odd row for the even 16,876. At 200,000, 16,875 and
+    16,874 points n - 1 has a prime factor above 5, M >= n and nothing
+    wraps."""
     step = 5e-14
     fast = _band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
     direct = _direct_band_limited_noise(np.random.default_rng(seed), n, step, BAND, 1e-12)
@@ -735,8 +741,9 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
         rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
     # Per trace: the path piece's irfft, then the noise's pair of rfft and
-    # pair of irfft; the first trace also runs the band-pass's pair of rfft.
-    assert len(lengths) == 12
+    # pair of irfft; the first trace also runs the band-pass's one rfft, its
+    # odd row derived from the even one.
+    assert len(lengths) == 11
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 
@@ -753,14 +760,47 @@ def test_the_noise_band_pass_rejects_a_band_the_grid_cannot_carry(n, step, band,
         _noise_kernel_spectrum(n, step, band)
 
 
+@pytest.mark.parametrize(
+    "n, derived",
+    [
+        (200_001, True),
+        (20_001, True),
+        (16_876, False),  # M = n - 1, but h[1::2] is not h[0::2] reversed
+        (16_875, False),  # n - 1 = 2 * 11 * 13 * 59, so M = n: nothing wraps
+    ],
+)
+def test_the_odd_band_pass_row_is_derived_from_the_even_one_for_an_odd_n(
+    n, derived, monkeypatch
+):
+    """For an odd n with M = n - 1 the odd row is derived from the even one,
+    with no transform of its own, and equals `rfft(h[1::2], M)`; every other
+    n transforms both rows."""
+    step = 5e-14
+    _noise_kernel_spectrum.cache_clear()
+    transformed = []
+    rfft = np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        transformed.append(a.size)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    length, kernel, _ = _noise_kernel_spectrum(n, step, BAND)
+    monkeypatch.undo()
+    _noise_kernel_spectrum.cache_clear()
+    assert transformed == ([(n + 1) // 2] if derived else [(n + 1) // 2, n // 2])
+    odd = np.fft.rfft(_band_pass(n, step, BAND)[1::2], length)
+    assert np.max(np.abs(kernel[1] - odd)) <= 1e-15 * np.max(np.abs(odd))
+
+
 def test_noise_band_pass_is_cached_by_value_and_read_only():
     n, step = 200_001, 5e-14
-    length, kernel = _noise_kernel_spectrum(n, step, (100e9, 300e9))
+    length, kernel, tail = _noise_kernel_spectrum(n, step, (100e9, 300e9))
     hits = _noise_kernel_spectrum.cache_info().hits
     assert _noise_kernel_spectrum(n, step, tuple([1e11, 3e11]))[1] is kernel
     assert _noise_kernel_spectrum.cache_info().hits == hits + 1
-    assert length == _fast_length(n) == 202_500
-    assert 2 * length == _fast_length(2 * n - 1)
+    assert length == n - 1 == 200_000
+    assert tail == _band_pass(n, step, (100e9, 300e9))[-1]
     assert kernel.shape == (3, length // 2 + 1)  # even, odd and delayed odd rows
     assert not kernel.flags.writeable
     with pytest.raises(ValueError):
@@ -773,14 +813,15 @@ def test_the_path_cache_keeps_heap_pages_for_every_per_trace_array(
     flat_table, monkeypatch, t_ob, step
 ):
     """`PathCache` keeps the one block of heap pages, 4 times the noise's
-    two rows of half-length transforms, 2 M = 2 `_fast_length(n_out)`, in
-    doubles. Every per-trace array fits in it, the noise's two rows of M
+    two rows of half-length transforms, 2 M = 2 `_noise_half_length(n_out)`,
+    in doubles. Every per-trace array fits in it, the noise's two rows of M
     doubles or M / 2 + 1 complex bins, the trace's n_out and the path
     piece's `cache.length`, so no second caller is needed."""
     kept = []
     monkeypatch.setattr(channel, "_keep_heap_pages", kept.append)
     pulse = generate_pulse(PulseSpec(order=2, center_frequency=200e9, power=1e-6), step)
     cache = PathCache(pulse, flat_table, window=t_ob)
-    half = _fast_length(cache.n_out)
+    half = _noise_half_length(cache.n_out)
+    assert half == cache.n_out - 1  # a decimal grid's interval count is 5-smooth
     assert kept == [2 * half]
     assert cache.n_out <= 2 * half and cache.length <= 2 * half

@@ -214,7 +214,8 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path, one_shard):
     assert (out / "trials.csv").exists()
     assert (out / "summary.json").exists()
     meta = json.loads((out / "run_meta.json").read_text())
-    assert set(meta) == {"wall_time_s", "stage_s"}
+    assert set(meta) == {"wall_time_s", "stage_s", "trial_run_shards", "numpy_version"}
+    assert meta["trial_run_shards"] == 1
     assert set(meta["stage_s"]) == {"propagate", "ctma", "sampling"}
     assert all(seconds > 0.0 for seconds in meta["stage_s"].values())
     # On one shard; the stage times of shards run at once add up past it.

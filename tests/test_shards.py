@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from mmwave_tdoa import ConfigurationError, ExperimentConfig, harness, run_experiment
@@ -87,6 +88,17 @@ def test_the_stage_times_sum_over_every_shard(monkeypatch):
     _, _, timings = run_experiment(ExperimentConfig.from_dict(NOISY))
     assert timings["propagate"] == 2 * 3 + 6 * 3
     assert timings["ctma"] == 6 * 3
+    _assert_no_child_left()
+
+
+def test_run_meta_records_the_shard_count_and_numpys_version(cfg_path, tmp_path, monkeypatch):
+    for count in (1, 2):
+        _shards(monkeypatch, count)
+        out = tmp_path / f"shards{count}"
+        assert main(["simulate-toa", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["trial_run_shards"] == count
+        assert meta["numpy_version"] == np.__version__
     _assert_no_child_left()
 
 
