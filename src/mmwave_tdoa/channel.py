@@ -397,7 +397,7 @@ def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], po
     spectra = np.empty((2, length // 2 + 1), dtype=np.complex128)
     for r in (0, 1):
         np.fft.rfft(white[r::2], length, out=spectra[r])
-    wrapped = tail * white[-1]
+    y_last = tail * white[-1]
     del white
     # Both cross terms (each reads the other row) come first; irfft r reuses
     # cross[r]'s memory, which holds one point past the M the irfft writes.
@@ -412,8 +412,8 @@ def _band_limited_noise(seed, n: int, step: float, band: tuple[float, float], po
         np.fft.irfft(product, length, out=halves[r, :length])
     del spectra
     if length < n:
-        halves[0, 0] -= wrapped
-        halves[0, length] = wrapped
+        halves[0, 0] -= y_last
+        halves[0, length] = y_last
     # y[k] = halves[k % 2][k // 2]; point k + n of y wraps onto k < n - 1.
     received = np.empty(n)
     for parity in (0, 1):
