@@ -328,21 +328,13 @@ def _noise_kernel_spectrum(
     its even samples h[0::2], of its odd samples h[1::2], and of its odd
     samples delayed one step; and h[n - 1], the factor of the one product
     that wraps when M = n - 1. `_band_limited_noise` combines them into a
-    linear convolution of 2 M points. For an odd n and M = n - 1 the odd
-    row comes from the even one: h is even, h[2j + 1] = h[2 (M / 2 - j)],
-    so Ho[q] = (-1)^q conj(He[q] - h[0]) with no transform of its own.
-    Memoized on its values, and read-only, because every noisy trace of an
+    linear convolution of 2 M points. Memoized on its values, and read-only, because every noisy trace of an
     experiment shares it: the first noisy trace builds it."""
     length = _noise_half_length(n)
     kernel = _band_pass(n, step, band)
     spectra = np.empty((3, length // 2 + 1), dtype=np.complex128)
-    np.fft.rfft(kernel[0::2], length, out=spectra[0])
-    if n % 2 and length == n - 1:
-        np.subtract(spectra[0], kernel[0], out=spectra[1])
-        np.conjugate(spectra[1], out=spectra[1])
-        np.negative(spectra[1, 1::2], out=spectra[1, 1::2])
-    else:
-        np.fft.rfft(kernel[1::2], length, out=spectra[1])
+    for r in (0, 1):
+        np.fft.rfft(kernel[r::2], length, out=spectra[r])
     np.multiply(spectra[1], _delay_phase(length, step, step), out=spectra[2])
     spectra.flags.writeable = False
     return length, spectra, float(kernel[-1])

@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         meta = {
             "wall_time_s": time.perf_counter() - started,
             "stage_s": stage_seconds(timings),
-            "trial_run_shards": timings["shards"],
+            "trial_run_shards": timings.shards,
             "numpy_version": np.__version__,
         }
         write_summary_json(meta, out / "run_meta.json")

@@ -411,6 +411,17 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
     return np.random.SeedSequence([root, position, run, receiver])
 
 
+class Timings(dict):
+    """Wall seconds by key, as `run_experiment` describes them, 0.0 for a
+    key not timed yet; `shards` counts the trial-run shards that ran at
+    once, whose times they sum."""
+
+    shards = 1
+
+    def __missing__(self, key):
+        return 0.0
+
+
 def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
     """(position index, run index, toas) for every run at each of positions,
     in that order, where toas[b] lists receiver b's TOA for every bank and
@@ -418,9 +429,9 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
 
     The (position, run) trial-runs split into contiguous shards, one per
     usable core (`_shard_count`), run at once by `_in_shards`; each adds
-    its stage times into timings, and timings["shards"] counts them. The
-    first shard runs in this process, so the traces of position 0, run 0
-    are dumped from here."""
+    its stage times into timings, a `Timings`, and timings.shards counts
+    them. The first shard runs in this process, so the traces of position
+    0, run 0 are dumped from here."""
     cells = list(itertools.product(range(len(positions)), range(prep.config.n_runs)))
     count = _shard_count(len(cells))
     edges = [len(cells) * k // count for k in range(count + 1)]
@@ -435,7 +446,7 @@ def _run_toas(prep: PreparedExperiment, positions, timings, dump_dir) -> list:
         toas += shard_toas
         for key, seconds in shard_timings.items():
             timings[key] += seconds
-    timings["shards"] = count
+    timings.shards = count
     return [(p_idx, r_idx, run) for (p_idx, r_idx), run in zip(cells, toas)]
 
 
@@ -589,14 +600,14 @@ def _trace_toas(prep, spec, piece, noise_power, seed, receiver, dump_dir, timing
 def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     """Run the full Monte Carlo and return (trials, summary, timings).
 
-    timings maps each sweep point's (estimator, alpha, f_s) key to the wall
-    time spent on it alone (a bank's refinement and its position solves; a
-    rate's position solves), each estimator family ("ctma", "sampling") to
-    the time of the per-trace stage its points share (the windowed-energy
-    peak; the LPF with every rate's sampling), and "propagate" to the time
-    of every path's clean piece and every `propagate` call, noise included
-    (see `stage_seconds`). Each time sums over the shards that ran at once,
-    and "shards" holds their number.
+    timings, a `Timings`, maps each sweep point's (estimator, alpha, f_s)
+    key to the wall time spent on it alone (a bank's refinement and its
+    position solves; a rate's position solves), each estimator family
+    ("ctma", "sampling") to the time of the per-trace stage its points
+    share (the windowed-energy peak; the LPF with every rate's sampling),
+    and "propagate" to the time of every path's clean piece and every
+    `propagate` call, noise included (see `stage_seconds`). Each time sums
+    over the shards that ran at once, and timings.shards holds their number.
     """
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)
@@ -611,25 +622,23 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
         for f_s in prep.sampling_rates
     ]
     trials: list[TrialResult] = []
-    timings: dict = defaultdict(float)
+    timings = Timings()
     for p_idx, r_idx, toas in _run_toas(prep, positions, timings, dump_dir):
         for (key, offset, field), taus in zip(points, zip(*toas)):
             at = f"{field}, position {p_idx}, run {r_idx}"
             args = (prep, positions[p_idx], taus, offset, *key, p_idx, r_idx)
             trials.append(_timed(timings, key, _check_field, at, _localize, *args))
     summary = {"config": dataclasses.asdict(cfg), "results": summarize(trials)}
-    return trials, summary, dict(timings)
+    return trials, summary, timings
 
 
 def stage_seconds(timings) -> dict:
     """Seconds per stage of a run, from `run_experiment`'s timings:
     propagation (noise included), then each estimator family with its
-    shared stage, its sweep points and their position solves. The shard
-    count is no stage."""
+    shared stage, its sweep points and their position solves."""
     stages = {"propagate": 0.0, "ctma": 0.0, "sampling": 0.0}
     for key, seconds in timings.items():
-        if key != "shards":
-            stages[key if isinstance(key, str) else key[0]] += seconds
+        stages[key if isinstance(key, str) else key[0]] += seconds
     return stages
 
 
@@ -727,7 +736,7 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
             f"mq_pairs {[list(p) for p in cfg.mq_pairs]} configures none"
         )
     dists = _distances(prep.layout, *cfg.toa_position)
-    timings: dict = defaultdict(float)
+    timings = Timings()
     rows = []
     for _, r_idx, toas in _run_toas(prep, (cfg.toa_position,), timings, dump_dir):
         for b, (dist, taus) in enumerate(zip(dists, toas)):
@@ -745,7 +754,7 @@ def toa_sweep(cfg: ExperimentConfig, dump_dir=None):
                     }
                 )
     rows.sort(key=lambda r: (r["alpha"], r["run_index"], r["bs"]))
-    return rows, dict(timings)
+    return rows, timings
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -741,9 +741,8 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
         rx = propagate(cache, spec_at(1.0), seed=seed, noise_power=1e-16)
     assert len(rx) == 200_001
     # Per trace: the path piece's irfft, then the noise's pair of rfft and
-    # pair of irfft; the first trace also runs the band-pass's one rfft, its
-    # odd row derived from the even one.
-    assert len(lengths) == 11
+    # pair of irfft; the first trace also runs the band-pass's pair of rfft.
+    assert len(lengths) == 12
     assert max(_largest_prime_factor(n) for n in lengths) <= 7
 
 
@@ -758,39 +757,6 @@ def test_noisy_propagation_runs_no_slow_transform_length(pulse2, flat_table, mon
 def test_the_noise_band_pass_rejects_a_band_the_grid_cannot_carry(n, step, band, ratio):
     with pytest.raises(ConfigurationError, match=f" {ratio} times the share"):
         _noise_kernel_spectrum(n, step, band)
-
-
-@pytest.mark.parametrize(
-    "n, derived",
-    [
-        (200_001, True),
-        (20_001, True),
-        (16_876, False),  # M = n - 1, but h[1::2] is not h[0::2] reversed
-        (16_875, False),  # n - 1 = 2 * 11 * 13 * 59, so M = n: nothing wraps
-    ],
-)
-def test_the_odd_band_pass_row_is_derived_from_the_even_one_for_an_odd_n(
-    n, derived, monkeypatch
-):
-    """For an odd n with M = n - 1 the odd row is derived from the even one,
-    with no transform of its own, and equals `rfft(h[1::2], M)`; every other
-    n transforms both rows."""
-    step = 5e-14
-    _noise_kernel_spectrum.cache_clear()
-    transformed = []
-    rfft = np.fft.rfft
-
-    def spy(a, *args, **kwargs):
-        transformed.append(a.size)
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    length, kernel, _ = _noise_kernel_spectrum(n, step, BAND)
-    monkeypatch.undo()
-    _noise_kernel_spectrum.cache_clear()
-    assert transformed == ([(n + 1) // 2] if derived else [(n + 1) // 2, n // 2])
-    odd = np.fft.rfft(_band_pass(n, step, BAND)[1::2], length)
-    assert np.max(np.abs(kernel[1] - odd)) <= 1e-15 * np.max(np.abs(odd))
 
 
 def test_noise_band_pass_is_cached_by_value_and_read_only():

@@ -17,14 +17,13 @@ packaged table, 0.05 ps grid).
 """
 import dataclasses
 import math
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from mmwave_tdoa import C0, ExperimentConfig, SignalTrace
 from mmwave_tdoa.detector import lpf_approximation
-from mmwave_tdoa.harness import _distances, _draw_positions, _run_toas, prepare
+from mmwave_tdoa.harness import Timings, _distances, _draw_positions, _run_toas, prepare
 
 DESK = Path(__file__).parents[1] / "configs" / "desk_sweep.json"
 
@@ -59,7 +58,7 @@ def test_every_noiseless_desk_toa_is_the_closed_form():
     positions = _draw_positions(cfg, prep.layout)
     filtered = _calibration_lpf(prep)
     checked = 0
-    for p_idx, _, toas in _run_toas(prep, positions, defaultdict(float), None):
+    for p_idx, _, toas in _run_toas(prep, positions, Timings(), None):
         distances = _distances(prep.layout, *positions[p_idx])
         for distance, receiver_toas in zip(distances, toas):
             banks, rates = prep.banks, prep.sampling_rates

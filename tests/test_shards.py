@@ -88,6 +88,8 @@ def test_the_stage_times_sum_over_every_shard(monkeypatch):
     _, _, timings = run_experiment(ExperimentConfig.from_dict(NOISY))
     assert timings["propagate"] == 2 * 3 + 6 * 3
     assert timings["ctma"] == 6 * 3
+    assert timings.shards == 2
+    assert all(isinstance(seconds, float) for seconds in timings.values())
     _assert_no_child_left()
 
 
