@@ -15,8 +15,9 @@ checkout of the parent commit (made with `git archive` or `git clone`); a
   pairs (the parent first in even pairs, the change first in odd ones),
   the count a claimed gain is judged on, and keeps
   each run's end-to-end metrics, with their medians and quartiles;
-- runs `bench/run.py --trace 1` once in each checkout for the per-layer
-  metrics;
+- runs `bench/run.py --trace 1` in three alternating pairs and keeps, for
+  each side, the median of each per-layer metric over its three traced
+  runs: one traced run cannot resolve a 1-2 ms change in a span;
 - keeps the sha256 of every output file of each side, and names the
   byte-stable ones;
 - measures `ru_minflt`, `ru_stime`, `ru_utime` and the wall time
@@ -56,6 +57,7 @@ sys.dont_write_bytecode = True  # importing bench/run.py leaves no __pycache__ t
 import run  # noqa: E402  (bench/run.py)
 
 PAIRS = 10  # alternating parent/change pairs per workload
+TRACED_PAIRS = 3  # alternating traced pairs per workload, for the per-layer medians
 REPEATS = 3  # fresh processes per side for the rusage probe
 
 # Runs one command in-process and prints the rusage deltas around it.
@@ -123,13 +125,21 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
-def record_workload(name: str, sides: dict, args) -> dict:
+def alternating_runs(name: str, sides: dict, args, pairs: int, trace: int) -> dict:
+    """Each side's `bench_run`s over `pairs` pairs, the parent first in even
+    pairs and the change first in odd ones."""
     runs = {side: [] for side in sides}
-    for pair in range(PAIRS):
+    for pair in range(pairs):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for side in order:
-            runs[side].append(bench_run(sides[side], name, args.seed, args.seconds, 0))
-            print(f"{name} pair {pair} {side}: {runs[side][-1]['metrics']}", flush=True)
+            runs[side].append(bench_run(sides[side], name, args.seed, args.seconds, trace))
+            metrics = runs[side][-1]["metrics"]
+            print(f"{name} trace {trace} pair {pair} {side}: {metrics}", flush=True)
+    return runs
+
+
+def record_workload(name: str, sides: dict, args) -> dict:
+    runs = alternating_runs(name, sides, args, PAIRS, 0)
     end_to_end = {}
     for metric in runs["parent"][0]["metrics"]:
         entry = {
@@ -137,12 +147,16 @@ def record_workload(name: str, sides: dict, args) -> dict:
         }
         entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
         end_to_end[metric] = entry
-    traced = {side: bench_run(sides[side], name, args.seed, args.seconds, 1) for side in sides}
+    traced = alternating_runs(name, sides, args, TRACED_PAIRS, 1)
     workload = run.WORKLOADS[name]
     return {
         "end_to_end": end_to_end,
         "per_layer": {
-            side: {m: v["value"] for m, v in traced[side]["metrics"].items()} for side in sides
+            side: {
+                m: statistics.median(r["metrics"][m]["value"] for r in traced[side])
+                for m in traced[side][0]["metrics"]
+            }
+            for side in sides
         },
         # Only these outputs are byte-stable; the others hold timings.
         "stable_outputs": list(workload.stable_outputs),

@@ -2,13 +2,14 @@
 
 Subcommands:
   simulate-toa     TOA-versus-resolution data for one node position
-  simulate-tdoa    full localization Monte Carlo (trials.csv, summary.json)
-  sweep            simulate-tdoa plus sweep.csv: runtime_s, the time of each sweep
-                   point alone (a bank's refinement and its position solve; a
-                   rate's position solve), and shared_s, the per-trace stage its
-                   estimator family shares (the windowed energy; the LPF with
-                   every rate's sampling)
+  simulate-tdoa    full localization Monte Carlo (trials.csv, summary.json);
+                   `sweep` is a second name for it
   validate-config  check a config and report derived quantities
+
+Every run also writes run_meta.json: its wall time, seconds per stage
+(stage_s) and per sweep point alone (point_s, timed as `run_experiment`
+says), its shard count and numpy's version. A family's shared stage is its
+stage_s less its points.
 
 Exit codes: 0 success, 2 configuration error (a write under --out or
 --dump-traces that fails included). Any other exception is a bug and
@@ -51,13 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sampling-free TDOA localization simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("simulate-toa", "single-position TOA estimates versus resolution"),
-        ("simulate-tdoa", "full localization Monte Carlo"),
-        ("sweep", "simulate-tdoa plus sweep.csv: estimation runtime per sweep point"),
-        ("validate-config", "validate a config without running"),
+    for (name, *aliases), text in (
+        (("simulate-toa",), "single-position TOA estimates versus resolution"),
+        (("simulate-tdoa", "sweep"), "full localization Monte Carlo"),
+        (("validate-config",), "validate a config without running"),
     ):
-        _add_common_arguments(sub.add_parser(name, help=text))
+        _add_common_arguments(sub.add_parser(name, aliases=aliases, help=text))
     return parser
 
 
@@ -91,18 +91,7 @@ def main(argv=None) -> int:
             trials, summary, timings = run_experiment(cfg, dump_dir=dump_dir)
             write_rows_csv([vars(t) for t in trials], out / "trials.csv")
             write_summary_json(summary, out / "summary.json")
-            rows = summary["results"]
-            if args.command == "sweep":
-                rows = [
-                    {
-                        **row,
-                        "runtime_s": timings[row["estimator"], row["alpha"], row["f_s_hz"]],
-                        "shared_s": timings[row["estimator"]],
-                    }
-                    for row in rows
-                ]
-                write_rows_csv(rows, out / "sweep.csv")
-            for row in rows:
+            for row in summary["results"]:
                 print(_format_row(row))
         # Times live outside summary.json so identical runs stay byte-identical.
         # The stage times sum over the trial-run shards that ran at once; the
@@ -110,6 +99,10 @@ def main(argv=None) -> int:
         meta = {
             "wall_time_s": time.perf_counter() - started,
             "stage_s": stage_seconds(timings),
+            "point_s": [
+                dict(zip(("estimator", "alpha", "f_s_hz", "seconds"), (*key, seconds)))
+                for key, seconds in timings.items() if isinstance(key, tuple)
+            ],
             "trial_run_shards": timings.shards,
             "numpy_version": np.__version__,
         }
@@ -133,10 +126,7 @@ def _format_row(row: dict) -> str:
         label = f"ctma   alpha={row['alpha']:>6}"
     else:
         label = f"sampling fs={row['f_s_hz']:.3e}"
-    text = f"{label}  AEDE = {row['aede_m']:.4e} m  ({row['n_trials']} trials"
-    if "runtime_s" in row:
-        text += f", {row['runtime_s']:.2f} s estimation"
-    return text + ")"
+    return f"{label}  AEDE = {row['aede_m']:.4e} m  ({row['n_trials']} trials)"
 
 
 if __name__ == "__main__":

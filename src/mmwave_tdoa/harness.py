@@ -500,6 +500,8 @@ def _in_shards(work, count: int) -> list:
     """[work(0), ..., work(count - 1)]: work(0) in this process and each
     other in a child forked for it (`_serve_shard`), all at once.
 
+    A shard whose pipe or fork fails (EAGAIN, EMFILE, ENOMEM) runs here
+    after the children, as does every later one, in shard order.
     A child's ConfigurationError is raised here, the first in shard order,
     which is the one a single shard would have met first; any other failure
     of a child raises RuntimeError with its traceback. Every child is
@@ -512,17 +514,24 @@ def _in_shards(work, count: int) -> list:
     children = []  # (pid, the read end of its pipe)
     try:
         for k in range(1, count):
-            read, write = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of any thread it counts, a BLAS pool's
-                # included; no other Python thread runs here (`_shard_count`).
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
+            pipe = ()
+            try:
+                pipe = read, write = os.pipe()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of any thread it counts, a BLAS pool's
+                    # included; no other Python thread runs here (`_shard_count`).
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                for fd in pipe:
+                    os.close(fd)
+                break
             if pid == 0:
                 _serve_shard(work, k, read, write)
             os.close(write)
             children.append((pid, read))
-        return [work(0)] + [_receive_shard(read, k) for k, (_, read) in enumerate(children, 1)]
+        done = [work(0)] + [_receive_shard(read, k) for k, (_, read) in enumerate(children, 1)]
+        return done + [work(k) for k in range(len(done), count)]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)

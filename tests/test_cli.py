@@ -214,7 +214,7 @@ def test_simulate_tdoa_writes_outputs(cfg_path, tmp_path, one_shard):
     assert (out / "trials.csv").exists()
     assert (out / "summary.json").exists()
     meta = json.loads((out / "run_meta.json").read_text())
-    assert set(meta) == {"wall_time_s", "stage_s", "trial_run_shards", "numpy_version"}
+    assert set(meta) == {"wall_time_s", "stage_s", "point_s", "trial_run_shards", "numpy_version"}
     assert meta["trial_run_shards"] == 1
     assert set(meta["stage_s"]) == {"propagate", "ctma", "sampling"}
     assert all(seconds > 0.0 for seconds in meta["stage_s"].values())
@@ -251,6 +251,12 @@ def test_sweep_matches_simulate_tdoa_bytes(cfg_path, tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+    for out in (out_a, out_b):
+        assert sorted(path.name for path in out.iterdir()) == [
+            "run_meta.json",
+            "summary.json",
+            "trials.csv",
+        ]
 
 
 def test_the_summary_config_echo_reruns_to_the_same_bytes(cfg_path, tmp_path):
@@ -265,12 +271,23 @@ def test_the_summary_config_echo_reruns_to_the_same_bytes(cfg_path, tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_sweep_writes_table(cfg_path, tmp_path):
+def _point_seconds_of(meta: dict, family: str) -> float:
+    return sum(point["seconds"] for point in meta["point_s"] if point["estimator"] == family)
+
+
+def test_sweep_writes_each_points_seconds_to_run_meta(cfg_path, tmp_path):
+    """run_meta.json times every sweep point alone; its family's stage holds
+    those seconds and the shared stage besides."""
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--dump-traces"]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "estimator,alpha,f_s_hz,aede_m,n_trials,runtime_s,shared_s"
-    assert len(lines) == 3
+    meta = json.loads((out / "run_meta.json").read_text())
+    results = json.loads((out / "summary.json").read_text())["results"]
+    points = [(p["estimator"], p["alpha"], p["f_s_hz"]) for p in meta["point_s"]]
+    assert len(points) == len(results) == 2
+    assert set(points) == {(r["estimator"], r["alpha"], r["f_s_hz"]) for r in results}
+    assert all(point["seconds"] > 0.0 for point in meta["point_s"])
+    for family in ("ctma", "sampling"):
+        assert meta["stage_s"][family] >= _point_seconds_of(meta, family)
     assert len(list((out / "traces").iterdir())) == 3
 
 
@@ -301,6 +318,10 @@ def test_simulate_toa_writes_run_meta(cfg_path, tmp_path, one_shard):
     stage_s = meta["stage_s"]
     assert stage_s["propagate"] > 0.0 and stage_s["ctma"] > 0.0
     assert stage_s["sampling"] == 0.0
+    assert [(p["estimator"], p["alpha"], p["f_s_hz"]) for p in meta["point_s"]] == [
+        ("ctma", 1000, None)
+    ]
+    assert stage_s["ctma"] >= _point_seconds_of(meta, "ctma") > 0.0
     # On one shard; the stage times of shards run at once add up past it.
     assert sum(stage_s.values()) <= meta["wall_time_s"]
 

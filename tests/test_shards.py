@@ -1,6 +1,7 @@
 """Trial-run shards: a run's (position, run) trial-runs split into
 contiguous shards, the first run in the process itself and each other in a
 forked child, merged back in canonical order."""
+import errno
 import json
 import os
 import sys
@@ -149,6 +150,44 @@ def test_any_other_failure_of_a_child_raises_with_its_traceback(monkeypatch):
     with pytest.raises(RuntimeError, match="trial-run shard 1 failed") as info:
         run_experiment(ExperimentConfig.from_dict(NOISY))
     assert "ValueError: a bug in the second shard" in str(info.value)
+    _assert_no_child_left()
+
+
+def test_a_child_that_ends_without_its_result_raises(monkeypatch):
+    _shards(monkeypatch, 2)
+    parent, real = os.getpid(), harness.propagate
+
+    def propagate(*args, seed, **kwargs):
+        if tuple(seed.entropy[1:3]) == (1, 0) and os.getpid() != parent:
+            os._exit(1)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", propagate)
+    failed = "trial-run shard 1 failed: it ended before sending its result"
+    with pytest.raises(RuntimeError, match=failed):
+        run_experiment(ExperimentConfig.from_dict(NOISY))
+    _assert_no_child_left()
+
+
+def test_a_shard_that_cannot_be_forked_runs_in_this_process(cfg_path, tmp_path, monkeypatch):
+    """A fork that fails (here EAGAIN) leaves no pipe open, and its shard
+    runs here: the same bytes as one shard, and exit 0."""
+    _shards(monkeypatch, 1)
+    alone = _outputs(cfg_path, tmp_path / "alone")
+    real_fork, forks = os.fork, []
+
+    def fork_failing_first():
+        forks.append(None)
+        if len(forks) == 1:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    _shards(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork_failing_first)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert _outputs(cfg_path, tmp_path / "unforked") == alone
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert len(forks) == 2  # simulate-tdoa's failed, simulate-toa's forked
     _assert_no_child_left()
 
 
