@@ -94,7 +94,7 @@ def main(argv=None) -> int:
             for row in summary["results"]:
                 print(_format_row(row))
         # Times live outside summary.json so identical runs stay byte-identical.
-        # The stage times sum over the trial-run shards that ran at once; the
+        # The stage and point times sum over the trial-run shards; the
         # outputs' last bits depend on numpy's transforms.
         meta = {
             "wall_time_s": time.perf_counter() - started,

@@ -413,8 +413,8 @@ def _trace_seed(root: int, position: int, run: int, receiver: int):
 
 class Timings(dict):
     """Wall seconds by key, as `run_experiment` describes them, 0.0 for a
-    key not timed yet; `shards` counts the trial-run shards that ran at
-    once, whose times they sum."""
+    key not timed yet; `shards` counts the trial-run shards, whose times
+    they sum."""
 
     shards = 1
 
@@ -616,7 +616,7 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None):
     share (the windowed-energy peak; the LPF with every rate's sampling),
     and "propagate" to the time of every path's clean piece and every
     `propagate` call, noise included (see `stage_seconds`). Each time sums
-    over the shards that ran at once, and timings.shards holds their number.
+    over the trial-run shards, and timings.shards holds their number.
     """
     prep = prepare(cfg)
     positions = _draw_positions(cfg, prep.layout)
